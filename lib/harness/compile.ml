@@ -18,12 +18,14 @@ type classification =
 type options =
   { opt_level : Opt_driver.level
   ; classification : classification
-  ; inline_threshold : int }
+  ; inline_threshold : int
+  ; unroll_factor : int }
 
 let default_options =
   { opt_level = Opt_driver.O2
   ; classification = Heuristics
-  ; inline_threshold = Elag_opt.Inline.default_threshold }
+  ; inline_threshold = Elag_opt.Inline.default_threshold
+  ; unroll_factor = Elag_opt.Unroll.default_factor }
 
 exception Error of string
 
@@ -45,7 +47,8 @@ let to_ir ?(options = default_options) source =
   in
   let ir =
     Opt_driver.optimize ~level:options.opt_level
-      ~inline_threshold:options.inline_threshold ir
+      ~inline_threshold:options.inline_threshold
+      ~unroll_factor:options.unroll_factor ir
   in
   (match options.classification with
   | Heuristics -> Classify.run ir

@@ -9,10 +9,12 @@ type classification =
 type options =
   { opt_level : Elag_opt.Driver.level
   ; classification : classification
-  ; inline_threshold : int }
+  ; inline_threshold : int
+  ; unroll_factor : int
+    (** O2 loop-unroll factor; below 2 disables unrolling *) }
 
 val default_options : options
-(** O2, heuristics, default inline threshold. *)
+(** O2, heuristics, default inline threshold and unroll factor. *)
 
 exception Error of string
 (** Parse or type errors, with position formatted into the message. *)

@@ -50,7 +50,7 @@ type plan =
 
 (* CLI names for targets: the pp form without brackets, with optional
    ":N" parameters ("table-scramble:17", "bric-delay:8").  Parameters
-   default sensibly so `elag_sim_run --fault bric-flush` just works. *)
+   default sensibly so `elag fault W MECH bric-flush` just works. *)
 let target_of_string s =
   let name, param =
     match String.index_opt s ':' with

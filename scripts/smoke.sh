@@ -5,25 +5,27 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+elag() { dune exec bin/elag.exe -- "$@"; }
+
 echo "== dune build =="
 dune build @all
 
 echo "== dune runtest =="
 dune runtest
 
-echo "== bench: table2 =="
-dune exec bench/main.exe table2
+echo "== paper: table2 =="
+elag paper table2
 
 echo "== report: PGP Encode / baseline =="
-dune exec bin/elag_sim_run.exe -- "PGP Encode" baseline --report json
+elag time "PGP Encode" baseline --report json
 
-echo "== engine: parallel sweep (-j 2) =="
-dune exec bin/elag_sim_run.exe -- --all -j 2
+echo "== engine: parallel emulation of every workload (-j 2) =="
+elag run -j 2
 
 echo "== verify: lint + fault-injection smoke =="
-dune exec bin/elag_experiments.exe -- verify-smoke
+elag verify smoke
 
 echo "== fuzz: bounded differential campaign (-j 2) =="
-dune exec bin/elag_experiments.exe -- fuzz --seed 42 --iters 25 -j 2
+elag fuzz --seed 42 --iters 25 -j 2
 
 echo "smoke: OK"

@@ -77,7 +77,19 @@ let test_reclassify_threshold () =
         (Insn.load_spec (Program.insn unchanged pc) = Insn.load_spec insn))
     (Program.static_loads program)
 
+(* The ablation compiles through [Compile.compile] with a per-call
+   unroll factor; the default must be exactly the default compile, and
+   disabling unrolling must change a looped program. *)
+let test_unroll_factor_option () =
+  let listing options = Fmt.str "%a" Program.pp (Compile.compile ~options misclassified_src) in
+  let default = listing Compile.default_options in
+  let with_factor unroll_factor = listing { Compile.default_options with unroll_factor } in
+  check_bool "default factor = default compile" true
+    (String.equal default (with_factor Elag_opt.Unroll.default_factor));
+  check_bool "unroll 0 differs" false (String.equal default (with_factor 0))
+
 let suite =
   [ Alcotest.test_case "profile rates" `Quick test_profile_collects_rates
   ; Alcotest.test_case "reclassify upgrades" `Quick test_reclassify_upgrades_nt
-  ; Alcotest.test_case "reclassify threshold" `Quick test_reclassify_threshold ]
+  ; Alcotest.test_case "reclassify threshold" `Quick test_reclassify_threshold
+  ; Alcotest.test_case "unroll factor option" `Quick test_unroll_factor_option ]

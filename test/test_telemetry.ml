@@ -10,6 +10,7 @@ module Metrics = Elag_telemetry.Metrics
 module Stall = Elag_telemetry.Stall
 module Trace = Elag_telemetry.Trace
 module Pipeline = Elag_sim.Pipeline
+module Emulator = Elag_sim.Emulator
 module Report = Elag_sim.Report
 module Config = Elag_sim.Config
 module Bric = Elag_predict.Bric
@@ -253,10 +254,10 @@ let test_bric_stats_surfaced () =
 
 (* A tiny deterministic kernel: strided ld_p loads plus a store, so the
    report exercises sites, speculation and stall attribution.  The
-   golden file pins the exact report; to regenerate after an intended
-   report-shape or timing change:
+   golden file pins the exact report; to regenerate every golden file
+   after an intended report-shape or timing change:
 
-     ELAG_UPDATE_GOLDEN=$PWD/test/golden_report.json dune runtest *)
+     ELAG_UPDATE_GOLDEN=$PWD/test dune runtest *)
 
 let golden_program () =
   let layout = Layout.create () in
@@ -296,15 +297,48 @@ let read_file path =
   close_in ic;
   s
 
-let test_golden_report () =
+(* Compare [render ()] with the golden [file], first rewriting it in
+   the directory named by ELAG_UPDATE_GOLDEN when that is set. *)
+let check_golden file render =
+  let actual = render () in
   (match Sys.getenv_opt "ELAG_UPDATE_GOLDEN" with
-  | Some path ->
-    let oc = open_out_bin path in
-    output_string oc (golden_report ());
+  | Some dir ->
+    let oc = open_out_bin (Filename.concat dir file) in
+    output_string oc actual;
     close_out oc
   | None -> ());
-  let expected = read_file "golden_report.json" in
-  check_str "report matches golden file" expected (golden_report ())
+  check_str (file ^ " matches") (read_file file) actual
+
+let test_golden_report () = check_golden "golden_report.json" golden_report
+
+(* Every mechanism preset over two suite workloads, capped so the test
+   stays fast: pins cycles, stall attribution, predictor counters and
+   the whole load-site table for each preset, not just the one
+   mechanism of the kernel above. *)
+let golden_preset_workloads = [ "008.espresso"; "PGP Encode" ]
+
+let golden_preset_max_insns = 200_000
+
+let golden_presets () =
+  let report name mech =
+    let t = Pipeline.create (Config.with_mechanism mech Config.default) in
+    let emu = Emulator.create (program_of name) in
+    (try
+       Emulator.run ~observer:(Pipeline.observer t)
+         ~max_insns:golden_preset_max_insns emu
+     with Emulator.Runaway _ -> ());
+    Report.to_json ~meta:[ ("workload", Json.String name) ] t
+  in
+  let reports =
+    List.concat_map
+      (fun name -> List.map (report name) Config.Mechanism.all)
+      golden_preset_workloads
+  in
+  (* one compact report per line keeps the file small and its diffs
+     per preset *)
+  "[\n" ^ String.concat ",\n" (List.map Json.to_string reports) ^ "\n]\n"
+
+let test_golden_presets () = check_golden "golden_presets.json" golden_presets
 
 let suite =
   [ Alcotest.test_case "json: printing" `Quick test_json_printing
@@ -318,4 +352,5 @@ let suite =
   ; Alcotest.test_case "pipeline: load sites account" `Quick test_load_sites_account
   ; Alcotest.test_case "bric: stats" `Quick test_bric_stats
   ; Alcotest.test_case "bric: surfaced" `Quick test_bric_stats_surfaced
-  ; Alcotest.test_case "report: golden file" `Quick test_golden_report ]
+  ; Alcotest.test_case "report: golden file" `Quick test_golden_report
+  ; Alcotest.test_case "report: golden presets" `Quick test_golden_presets ]

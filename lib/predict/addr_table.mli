@@ -11,12 +11,17 @@ val create : int -> t
 
 val size : t -> int
 
-val peek : t -> int -> int option
-(** Pure tag check: [Some predicted_address] on a hit.  No statistics;
-    used during issue-cycle search. *)
+val peek : t -> int -> bool
+(** Pure tag check: whether the table predicts an address for this
+    pc.  No statistics; used during issue-cycle search. *)
 
-val probe : t -> int -> int option
-(** Like {!peek} but counts a probe (the decode-stage access). *)
+val probe : t -> int -> bool
+(** Like {!peek} but counts a probe, and a hit on a tag match (the
+    decode-stage access). *)
+
+val predicted_address : t -> int -> int
+(** The address predicted for this pc; meaningful only after a
+    {!peek} or {!probe} hit. *)
 
 val update : t -> int -> int -> bool
 (** [update t pc ca]: feed the computed address at the MEM stage;

@@ -12,43 +12,63 @@
 
 type t =
   { capacity : int
-  ; mutable resident : (int * int) list  (* (register, valid_from_cycle), MRU first *)
+  ; regs : int array         (* resident registers, MRU first *)
+  ; valid_from : int array   (* cycle each entry's value becomes usable *)
+  ; mutable resident : int   (* live prefix length of the two arrays *)
   ; mutable probes : int
   ; mutable hits : int
   ; mutable evictions : int }
 
 let create capacity =
   if capacity <= 0 then invalid_arg "Bric.create";
-  { capacity; resident = []; probes = 0; hits = 0; evictions = 0 }
+  { capacity
+  ; regs = Array.make capacity 0
+  ; valid_from = Array.make capacity 0
+  ; resident = 0
+  ; probes = 0
+  ; hits = 0
+  ; evictions = 0 }
+
+(* Position of [reg] in the MRU order, or -1. *)
+let rec position t reg i =
+  if i = t.resident then -1
+  else if t.regs.(i) = reg then i
+  else position t reg (i + 1)
+
+(* Shift entries [0, i) down one place and put (reg, valid_from) first. *)
+let make_mru t i reg valid_from =
+  for j = i downto 1 do
+    t.regs.(j) <- t.regs.(j - 1);
+    t.valid_from.(j) <- t.valid_from.(j - 1)
+  done;
+  t.regs.(0) <- reg;
+  t.valid_from.(0) <- valid_from
 
 (* Pure hit test: resident with a usable value, no side effects. *)
 let peek t ~cycle reg =
-  match List.assoc_opt reg t.resident with
-  | Some valid_from -> cycle >= valid_from
-  | None -> false
+  let i = position t reg 0 in
+  i >= 0 && cycle >= t.valid_from.(i)
 
 (* Probe for [reg] at [cycle]; allocates on miss (the entry's value
    becomes usable next cycle, after the register file is read).
    Returns true when the register was resident with a usable value. *)
 let probe t ~cycle reg =
   t.probes <- t.probes + 1;
-  match List.assoc_opt reg t.resident with
-  | Some valid_from ->
-    (* refresh LRU position *)
-    t.resident <- (reg, valid_from) :: List.remove_assoc reg t.resident;
+  let i = position t reg 0 in
+  if i >= 0 then begin
+    let valid_from = t.valid_from.(i) in
+    make_mru t i reg valid_from;
     let usable = cycle >= valid_from in
     if usable then t.hits <- t.hits + 1;
     usable
-  | None ->
-    let trimmed =
-      if List.length t.resident >= t.capacity then begin
-        t.evictions <- t.evictions + 1;
-        List.filteri (fun i _ -> i < t.capacity - 1) t.resident
-      end
-      else t.resident
-    in
-    t.resident <- (reg, cycle + 1) :: trimmed;
+  end
+  else begin
+    (* a full cache drops its LRU (last) entry *)
+    if t.resident >= t.capacity then t.evictions <- t.evictions + 1
+    else t.resident <- t.resident + 1;
+    make_mru t (t.resident - 1) reg (cycle + 1);
     false
+  end
 
 let hit_rate t =
   if t.probes = 0 then 0. else float_of_int t.hits /. float_of_int t.probes
@@ -59,9 +79,11 @@ let stats t = { br_probes = t.probes; br_hits = t.hits; br_evictions = t.evictio
 
 (* --- fault-injection hooks (lib/verify) ------------------------------ *)
 
-let flush t = t.resident <- []
+let flush t = t.resident <- 0
 
 let delay t ~until =
-  t.resident <- List.map (fun (reg, vf) -> (reg, max vf until)) t.resident
+  for i = 0 to t.resident - 1 do
+    if t.valid_from.(i) < until then t.valid_from.(i) <- until
+  done
 
-let resident_count t = List.length t.resident
+let resident_count t = t.resident

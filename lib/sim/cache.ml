@@ -2,13 +2,15 @@
    correctness is the emulator's job).  The paper's configuration is
    direct-mapped ([ways = 1], the default); higher associativity is
    available for the ablation benches.  [probe] is pure; [access]
-   fills on a miss. *)
+   fills on a miss.  Every operation is allocation-free: it runs on the
+   timing pipeline's per-retire path. *)
 
 type t =
   { line_bits : int
   ; sets : int
+  ; set_mask : int         (* sets - 1 when sets is a power of two, else -1 *)
   ; ways : int
-  ; tags : int array       (* sets*ways entries, -1 = invalid *)
+  ; tags : int array       (* sets*ways entries, -1 = invalid; tag = line *)
   ; stamps : int array     (* LRU timestamps, parallel to tags *)
   ; mutable clock : int
   ; mutable accesses : int
@@ -26,6 +28,7 @@ let create ?(ways = 1) ~size_bytes ~line_bytes () =
   let sets = size_bytes / line_bytes / ways in
   { line_bits = log2 line_bytes
   ; sets
+  ; set_mask = (if sets land (sets - 1) = 0 then sets - 1 else -1)
   ; ways
   ; tags = Array.make (sets * ways) (-1)
   ; stamps = Array.make (sets * ways) 0
@@ -33,64 +36,52 @@ let create ?(ways = 1) ~size_bytes ~line_bytes () =
   ; accesses = 0
   ; misses = 0 }
 
-let set_tag t addr =
-  let line = addr lsr t.line_bits in
-  (line mod t.sets, line)
+(* First slot of the set holding [line] ([line >= 0]: a logical shift). *)
+let set_base t line =
+  (if t.set_mask >= 0 then line land t.set_mask else line mod t.sets) * t.ways
 
-(* Index of the way holding [tag] in [set], or -1. *)
-let find_way t set tag =
-  let base = set * t.ways in
-  let rec go w = if w = t.ways then -1
-    else if t.tags.(base + w) = tag then base + w
-    else go (w + 1)
-  in
-  go 0
+(* Index of the slot in [i, stop) holding [tag], or -1. *)
+let rec find_way (tags : int array) (tag : int) i stop =
+  if i = stop then -1
+  else if Array.unsafe_get tags i = tag then i
+  else find_way tags tag (i + 1) stop
+
+let lookup t line =
+  let base = set_base t line in
+  find_way t.tags line base (base + t.ways)
 
 (* Pure hit test: no statistics, no fill, no LRU update. *)
-let probe t addr =
-  let set, tag = set_tag t addr in
-  find_way t set tag >= 0
+let probe t addr = lookup t (addr lsr t.line_bits) >= 0
 
-let victim_way t set =
-  let base = set * t.ways in
+let victim_way t base =
   let best = ref base in
-  for w = 1 to t.ways - 1 do
-    if t.stamps.(base + w) < t.stamps.(!best) then best := base + w
+  for i = base + 1 to base + t.ways - 1 do
+    if t.stamps.(i) < t.stamps.(!best) then best := i
   done;
   !best
 
-(* A load-side access: counts, updates LRU, fills the line on a miss. *)
-let access t addr =
+(* Count the access and refresh LRU on a hit; returns the hit slot or
+   -1 on a miss (counted). *)
+let touch t line =
   t.accesses <- t.accesses + 1;
   t.clock <- t.clock + 1;
-  let set, tag = set_tag t addr in
-  let i = find_way t set tag in
-  if i >= 0 then begin
-    t.stamps.(i) <- t.clock;
-    true
-  end
-  else begin
-    t.misses <- t.misses + 1;
-    let v = victim_way t set in
-    t.tags.(v) <- tag;
+  let i = lookup t line in
+  if i >= 0 then t.stamps.(i) <- t.clock else t.misses <- t.misses + 1;
+  i
+
+(* A load-side access: counts, updates LRU, fills the line on a miss. *)
+let access t addr =
+  let line = addr lsr t.line_bits in
+  touch t line >= 0
+  || begin
+    let v = victim_way t (set_base t line) in
+    t.tags.(v) <- line;
     t.stamps.(v) <- t.clock;
     false
   end
 
 (* A store-side access: write-through, no write-allocate. *)
-let access_store t addr =
-  t.accesses <- t.accesses + 1;
-  t.clock <- t.clock + 1;
-  let set, tag = set_tag t addr in
-  let i = find_way t set tag in
-  if i >= 0 then begin
-    t.stamps.(i) <- t.clock;
-    true
-  end
-  else begin
-    t.misses <- t.misses + 1;
-    false
-  end
+let access_store t addr = touch t (addr lsr t.line_bits) >= 0
 
 let miss_rate t =
   if t.accesses = 0 then 0. else float_of_int t.misses /. float_of_int t.accesses

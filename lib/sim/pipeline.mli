@@ -59,7 +59,9 @@ val create : Config.t -> t
 
 val process : t -> int -> Elag_isa.Insn.t -> int -> bool -> int -> unit
 (** Feed one retired instruction (same signature as
-    {!Emulator.observer}). *)
+    {!Emulator.observer}).  Allocates nothing and makes no polymorphic
+    comparison, apart from a load site's record the first time its pc
+    retires; the allocation-gate test holds it to that. *)
 
 val set_tracer : t -> (int -> Elag_isa.Insn.t -> int -> int -> unit) -> unit
 (** Install a per-instruction hook [(pc, insn, issue_cycle, latency)],

@@ -38,7 +38,8 @@ let bucket_index t v =
   end
 
 let observe t v =
-  t.counts.(bucket_index t v) <- t.counts.(bucket_index t v) + 1;
+  let i = bucket_index t v in
+  t.counts.(i) <- t.counts.(i) + 1;
   t.total <- t.total + 1;
   t.sum <- t.sum + v;
   if v > t.max_seen then t.max_seen <- v

@@ -66,31 +66,28 @@ let test_random_addresses_rarely_predict () =
 
 let test_table_miss_then_hit () =
   let t = Addr_table.create 16 in
-  check_bool "cold probe misses" true (Addr_table.probe t 3 = None);
+  check_bool "cold probe misses" false (Addr_table.probe t 3);
   ignore (Addr_table.update t 3 100);
-  (match Addr_table.probe t 3 with
-  | Some 100 -> ()
-  | _ -> Alcotest.fail "expected PA=100 after allocation");
+  check_bool "hit after allocation" true (Addr_table.probe t 3);
+  check "PA=100 after allocation" 100 (Addr_table.predicted_address t 3);
   ignore (Addr_table.update t 3 100);
   ignore (Addr_table.update t 3 100);
-  match Addr_table.peek t 3 with
-  | Some 100 -> ()
-  | _ -> Alcotest.fail "constant address should keep predicting"
+  check_bool "constant address still hits" true (Addr_table.peek t 3);
+  check "constant address keeps predicting" 100 (Addr_table.predicted_address t 3)
 
 let test_table_conflict_eviction () =
   let t = Addr_table.create 16 in
   ignore (Addr_table.update t 5 100);
   ignore (Addr_table.update t 21 200); (* same index: 21 mod 16 = 5 *)
-  check_bool "evicted" true (Addr_table.probe t 5 = None);
-  check_bool "new resident" true (Addr_table.probe t 21 <> None)
+  check_bool "evicted" false (Addr_table.probe t 5);
+  check_bool "new resident" true (Addr_table.probe t 21)
 
 let test_table_strided_load () =
   let t = Addr_table.create 64 in
   let correct = ref 0 in
   for i = 0 to 19 do
-    (match Addr_table.peek t 7 with
-    | Some pa when pa = 1000 + (i * 8) -> incr correct
-    | _ -> ());
+    if Addr_table.peek t 7 && Addr_table.predicted_address t 7 = 1000 + (i * 8)
+    then incr correct;
     ignore (Addr_table.update t 7 (1000 + (i * 8)))
   done;
   (* predictions correct from the 4th access on *)

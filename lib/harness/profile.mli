@@ -7,8 +7,7 @@
     changes nothing else. *)
 
 type t =
-  { rates : Elag_predict.Ideal.t
-  ; exec_counts : (int, int) Hashtbl.t
+  { rates : Elag_predict.Ideal.t  (** per-pc rates and execution counts *)
   ; mutable total_loads : int
   ; mutable total_instructions : int }
 

@@ -11,41 +11,48 @@
 type counters =
   { mutable executions : int
   ; mutable correct : int
-  ; entry : Stride_entry.t
-  ; mutable seen : bool }
+  ; entry : Stride_entry.t }
 
-type t = (int, counters) Hashtbl.t
+(* Indexed by pc, grown on demand; [unseen] marks a pc with no load
+   executed yet.  Observing a load allocates only on its first
+   execution. *)
+type t = { mutable by_pc : counters array }
 
-let create () : t = Hashtbl.create 256
+let unseen = { executions = 0; correct = 0; entry = Stride_entry.allocate 0 }
+
+let create () : t = { by_pc = Array.make 256 unseen }
+
+let find (t : t) pc =
+  if pc >= 0 && pc < Array.length t.by_pc then t.by_pc.(pc) else unseen
 
 (* Observe one dynamic execution of the load at [pc] with computed
    address [ca]. *)
 let observe (t : t) ~pc ~ca =
-  let c =
-    match Hashtbl.find_opt t pc with
-    | Some c -> c
-    | None ->
-      let c = { executions = 0; correct = 0; entry = Stride_entry.allocate ca; seen = false } in
-      Hashtbl.replace t pc c;
-      c
-  in
-  c.executions <- c.executions + 1;
-  if c.seen then begin
-    if Stride_entry.update c.entry ca then c.correct <- c.correct + 1
-  end
-  else begin
-    (* first execution: the allocation already recorded ca *)
-    c.seen <- true;
+  let n = Array.length t.by_pc in
+  if pc >= n then begin
+    let by_pc = Array.make (Int.max (2 * n) (pc + 1)) unseen in
+    Array.blit t.by_pc 0 by_pc 0 n;
+    t.by_pc <- by_pc
+  end;
+  let c = t.by_pc.(pc) in
+  if c == unseen then
+    (* first execution: the allocation records ca, and the update that
+       follows cannot have been predicted *)
+    let c = { executions = 1; correct = 0; entry = Stride_entry.allocate ca } in
+    t.by_pc.(pc) <- c;
     ignore (Stride_entry.update c.entry ca)
+  else begin
+    c.executions <- c.executions + 1;
+    if Stride_entry.update c.entry ca then c.correct <- c.correct + 1
   end
 
 let rate (t : t) pc =
-  match Hashtbl.find_opt t pc with
-  | Some c when c.executions > 0 -> Some (float_of_int c.correct /. float_of_int c.executions)
-  | _ -> None
+  let c = find t pc in
+  if c.executions > 0 then
+    Some (float_of_int c.correct /. float_of_int c.executions)
+  else None
 
-let executions (t : t) pc =
-  match Hashtbl.find_opt t pc with Some c -> c.executions | None -> 0
+let executions (t : t) pc = (find t pc).executions
 
 (* Aggregate prediction rate over a set of loads, dynamically weighted:
    total correct / total executions. *)
@@ -53,10 +60,8 @@ let aggregate_rate (t : t) pcs =
   let correct, total =
     List.fold_left
       (fun (c, n) pc ->
-        match Hashtbl.find_opt t pc with
-        | Some k -> (c + k.correct, n + k.executions)
-        | None -> (c, n))
+        let k = find t pc in
+        (c + k.correct, n + k.executions))
       (0, 0) pcs
   in
   if total = 0 then None else Some (float_of_int correct /. float_of_int total)
-

@@ -56,32 +56,49 @@ let addr_mode_registers = function
   | Base_index (b, i) -> [ b; i ]
   | Absolute _ -> []
 
-let operand_registers = function R r -> [ r ] | I _ -> []
+(* Top-level helpers, so that [iter_uses] with a top-level [f]
+   allocates nothing: the timing pipeline calls it per retired
+   instruction. *)
+let use_reg f x r = if r <> Reg.zero then f x r
 
-(* Source registers read by the instruction, excluding the hard-wired
-   zero register (which never creates a hazard). *)
+let use_operand f x = function R r -> use_reg f x r | I _ -> ()
+
+let use_addr f x = function
+  | Base_offset (b, _) -> use_reg f x b
+  | Base_index (b, i) ->
+    use_reg f x b;
+    use_reg f x i
+  | Absolute _ -> ()
+
+(* Apply [f x] to each source register, in operand order, excluding
+   the hard-wired zero register (which never creates a hazard). *)
+let iter_uses f x = function
+  | Alu { src1; src2; _ } | Branch { src1; src2; _ } ->
+    use_reg f x src1;
+    use_operand f x src2
+  | Load { addr; _ } -> use_addr f x addr
+  | Store { src; addr; _ } ->
+    use_reg f x src;
+    use_addr f x addr
+  | Jalr r | Jr r -> use_reg f x r
+  | Syscall (Print_int | Print_char) -> use_reg f x Reg.arg_first
+  | Li _ | Jump _ | Jal _ | Syscall Exit | Nop | Halt -> ()
+
 let uses insn =
-  let raw =
-    match insn with
-    | Alu { src1; src2; _ } -> src1 :: operand_registers src2
-    | Li _ -> []
-    | Load { addr; _ } -> addr_mode_registers addr
-    | Store { src; addr; _ } -> src :: addr_mode_registers addr
-    | Branch { src1; src2; _ } -> src1 :: operand_registers src2
-    | Jump _ | Jal _ -> []
-    | Jalr r | Jr r -> [ r ]
-    | Syscall (Print_int | Print_char) -> [ Reg.arg_first ]
-    | Syscall Exit -> []
-    | Nop | Halt -> []
-  in
-  List.filter (fun r -> r <> Reg.zero) raw
+  let acc = ref [] in
+  iter_uses (fun () r -> acc := r :: !acc) () insn;
+  List.rev !acc
 
-(* Destination registers written by the instruction. *)
-let defs = function
-  | Alu { dst; _ } | Li { dst; _ } | Load { dst; _ } ->
-    if dst = Reg.zero then [] else [ dst ]
-  | Jal _ | Jalr _ -> [ Reg.ra ]
-  | Store _ | Branch _ | Jump _ | Jr _ | Syscall _ | Nop | Halt -> []
+(* The register written, or the zero register when none is (a write
+   to it is discarded). *)
+let dest = function
+  | Alu { dst; _ } | Li { dst; _ } | Load { dst; _ } -> dst
+  | Jal _ | Jalr _ -> Reg.ra
+  | Store _ | Branch _ | Jump _ | Jr _ | Syscall _ | Nop | Halt -> Reg.zero
+
+let defs insn =
+  let r = dest insn in
+  if r = Reg.zero then [] else [ r ]
 
 let is_load = function Load _ -> true | _ -> false
 let is_store = function Store _ -> true | _ -> false

@@ -58,8 +58,17 @@ val addr_mode_registers : addr_mode -> Reg.t list
 val uses : t -> Reg.t list
 (** Source registers read by the instruction (zero register excluded). *)
 
+val iter_uses : ('a -> Reg.t -> unit) -> 'a -> t -> unit
+(** [iter_uses f x insn] applies [f x] to each register of {!uses}, in
+    the same order, without building the list: with a closed [f] it
+    allocates nothing. *)
+
 val defs : t -> Reg.t list
 (** Destination registers written (zero register excluded). *)
+
+val dest : t -> Reg.t
+(** The one register written, or {!Reg.zero} when none is ({!defs} is
+    empty exactly then). *)
 
 val is_load : t -> bool
 val is_store : t -> bool

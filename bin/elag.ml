@@ -416,8 +416,8 @@ let fault_cmd =
   let go max_insns timeout_ms seed src mech target =
     let program = checked Compile.default_options src in
     let deadline = Deadline.opt timeout_ms in
-    let base = Fault.baseline ?max_insns ~deadline (cfg mech) program in
-    let retired = max 1 base.Fault.base_retired in
+    let base = Oracle.trace ?max_insns ~deadline (cfg mech) program in
+    let retired = max 1 base.Oracle.retired in
     let plan =
       { Fault.name = Fmt.str "cli-%a" Fault.pp_target target
       ; seed

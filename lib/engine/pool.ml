@@ -11,21 +11,12 @@ let () =
 
 let default_jobs () = Domain.recommended_domain_count ()
 
-let run ~jobs f (items : 'a array) : 'b array =
-  let n = Array.length items in
+(* Apply [exec] to every index in [0, n) exactly once: serially at
+   width 1, otherwise on up to [jobs] domains (the caller's included)
+   claiming indices from a shared counter. *)
+let each ~jobs n exec =
   let jobs = max 1 (min jobs n) in
-  let results : ('b, exn * Printexc.raw_backtrace) result option array =
-    Array.make n None
-  in
-  let exec i =
-    results.(i) <-
-      Some
-        (try Ok (f items.(i))
-         with e -> Error (e, Printexc.get_raw_backtrace ()))
-  in
   if jobs <= 1 then
-    (* Same failure semantics as the parallel path: every job runs and
-       every failure is collected, even after an early one. *)
     for i = 0 to n - 1 do
       exec i
     done
@@ -41,7 +32,22 @@ let run ~jobs f (items : 'a array) : 'b array =
     let domains = Array.init (jobs - 1) (fun _ -> Domain.spawn worker) in
     worker ();
     Array.iter Domain.join domains
-  end;
+  end
+
+let run ~jobs f (items : 'a array) : 'b array =
+  let n = Array.length items in
+  let results : ('b, exn * Printexc.raw_backtrace) result option array =
+    Array.make n None
+  in
+  let exec i =
+    results.(i) <-
+      Some
+        (try Ok (f items.(i))
+         with e -> Error (e, Printexc.get_raw_backtrace ()))
+  in
+  (* [exec] never raises, so every job runs and every failure is
+     collected, even after an early one, at any width. *)
+  each ~jobs n exec;
   let failures = ref [] in
   Array.iteri
     (fun i r ->
@@ -103,7 +109,6 @@ let run_supervised ?timeout_ms ?(retries = 0) ?(backoff_ms = 5) ~jobs f
   | Some t when t <= 0 -> invalid_arg "Pool.run_supervised: non-positive timeout"
   | _ -> ());
   let n = Array.length items in
-  let jobs = max 1 (min jobs n) in
   let results : 'b outcome option array = Array.make n None in
   let attempt_one item =
     let deadline = Deadline.opt timeout_ms in
@@ -133,23 +138,7 @@ let run_supervised ?timeout_ms ?(retries = 0) ?(backoff_ms = 5) ~jobs f
     in
     results.(i) <- Some (go 1)
   in
-  if jobs <= 1 then
-    for i = 0 to n - 1 do
-      exec i
-    done
-  else begin
-    let next = Atomic.make 0 in
-    let rec worker () =
-      let i = Atomic.fetch_and_add next 1 in
-      if i < n then begin
-        exec i;
-        worker ()
-      end
-    in
-    let domains = Array.init (jobs - 1) (fun _ -> Domain.spawn worker) in
-    worker ();
-    Array.iter Domain.join domains
-  end;
+  each ~jobs n exec;
   Array.map
     (function
       | Some r -> r

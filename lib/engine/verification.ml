@@ -36,12 +36,7 @@ let matrix_workloads = [ "PGP Decode"; "147.vortex"; "PGP Encode" ]
 let plans_for i w =
   let p name target ~seed ~first ~period =
     { workload = w
-    ; mechanism =
-        (match target with
-        | Fault.Table_scramble _ | Fault.Table_pa _ -> "table-256-cc"
-        | Fault.Table_state _ | Fault.Raddr_unbind -> "dual-cc"
-        | Fault.Bric_flush | Fault.Bric_delay _ -> "calc-8"
-        | Fault.Btb_target _ | Fault.Btb_scramble _ -> "baseline")
+    ; mechanism = Fault.preset target
     ; plan = { Fault.name = w ^ "/" ^ name; seed; first; period; target } }
   in
   [ p "table-scramble"
@@ -95,7 +90,7 @@ let run_fault_suite ?(entries = fault_matrix) engine =
         let w = Suite.find e.workload in
         let cfg = config_of engine e.mechanism in
         Hashtbl.add baselines key
-          (Fault.baseline cfg (Engine.program engine w))
+          (Oracle.trace cfg (Engine.program engine w))
       end)
     entries;
   Engine.map engine

@@ -2,8 +2,9 @@
 
    One iteration = one seeded program (EPA-32 typed construction, or
    MiniC through the front-end every [minic_every]-th iteration) run
-   through every mechanism preset under the differential oracle, with
-   a seeded fault plan layered on some iterations.  Iterations are
+   through every mechanism preset — the first under the lockstep
+   oracle, the rest against its trace — with a seeded fault plan
+   layered on some iterations.  Iterations are
    pure functions of the per-iteration seed, so they fan out on the
    supervised pool and the merged summary is byte-identical at every
    [-j] setting; per-iteration seeds are drawn serially from the
@@ -91,22 +92,17 @@ type summary =
   ; failures : (int * Pool.failure) list
   ; saved : string list  (* corpus metadata paths written this run *) }
 
-(* Fault targets paired with a mechanism that actually owns the state
-   being corrupted (mirrors Verification.fault_matrix's mapping). *)
+(* Fault targets drawn by the fault layer; each runs under its
+   {!Fault.preset}. *)
 let fault_targets =
-  [| (Fault.Table_scramble { slot = 3 }, "table-256-cc")
-   ; (Fault.Table_pa { slot = 5 }, "table-256-cc")
-   ; (Fault.Table_state { slot = 2 }, "dual-cc")
-   ; (Fault.Bric_flush, "calc-8")
-   ; (Fault.Bric_delay { cycles = 8 }, "calc-8")
-   ; (Fault.Raddr_unbind, "dual-cc")
-   ; (Fault.Btb_target { slot = 1 }, "baseline")
-   ; (Fault.Btb_scramble { slot = 1 }, "baseline") |]
-
-let mechanism_of_name name =
-  match Config.Mechanism.of_string name with
-  | Some m -> m
-  | None -> assert false (* static table above *)
+  [| Fault.Table_scramble { slot = 3 }
+   ; Fault.Table_pa { slot = 5 }
+   ; Fault.Table_state { slot = 2 }
+   ; Fault.Bric_flush
+   ; Fault.Bric_delay { cycles = 8 }
+   ; Fault.Raddr_unbind
+   ; Fault.Btb_target { slot = 1 }
+   ; Fault.Btb_scramble { slot = 1 } |]
 
 let finding ~iter ~seed ~source ~mechanism ~kind ~detail ~report ~listing
     ~insns ~shrunk =
@@ -168,10 +164,10 @@ let run_iteration config deadline (iter, seed) =
     match source with
     | "epa" ->
       let g = Gen.program ~params:config.gen_params seed in
-      Ok (Some g, g.Gen.program, g.Gen.budget)
+      (Some g, g.Gen.program, g.Gen.budget)
     | _ ->
       let program = Elag_harness.Compile.compile (Gen.minic seed) in
-      Ok (None, program, Gen.minic_budget)
+      (None, program, Gen.minic_budget)
   with
   | exception e ->
     add
@@ -179,20 +175,49 @@ let run_iteration config deadline (iter, seed) =
          ~detail:(Printf.sprintf "generation: %s" (Printexc.to_string e))
          ~report:Json.Null ~listing:"" ~insns:0 ~shrunk:false);
     finish ()
-  | Error _ -> assert false
-  | Ok (g, program, budget) -> (
+  | g, program, budget -> (
     let listing () = Fmt.str "%a" Elag_isa.Program.pp program in
+    let insns = Elag_isa.Program.length program in
+    let crash mechanism detail =
+      add
+        (mk ~mechanism ~kind:Crash ~detail ~report:Json.Null
+           ~listing:(listing ()) ~insns ~shrunk:false)
+    in
     match Lint.check program with
     | lint when not (Lint.ok lint) ->
       add
         (mk ~mechanism:"-" ~kind:Lint_reject
            ~detail:
              (Fmt.str "%a" Lint.pp_issue (List.hd lint.Lint.issues))
-           ~report:(Lint.to_json lint) ~listing:(listing ())
-           ~insns:(Elag_isa.Program.length program) ~shrunk:false);
+           ~report:(Lint.to_json lint) ~listing:(listing ()) ~insns
+           ~shrunk:false);
       finish ()
     | _ -> (
-      (* differential oracle across every mechanism preset *)
+      (* The stream is the emulator's whatever the preset, so only the
+         first preset runs the lockstep; a later preset whose trace
+         differs falls back to it, keeping the report exact. *)
+      let reference =
+        Option.map (fun m -> Gen.apply_mutation m program) config.mutation
+      in
+      let lockstep cfg =
+        let report =
+          Oracle.run ~max_insns:budget ?reference ~deadline cfg program
+        in
+        match Oracle.signature report with
+        | None -> Ok report.Oracle.subject
+        | Some signature -> Error (report, signature)
+      in
+      (* green presets' traces, in preset order *)
+      let traces = ref [] in
+      let check cfg =
+        match !traces with
+        | [] -> lockstep cfg
+        | (_, (first : Oracle.trace)) :: _ ->
+          let t = Oracle.trace ~max_insns:budget ~deadline cfg program in
+          if String.equal t.output first.output && Oracle.same_stream t first
+          then Ok t
+          else lockstep cfg
+      in
       let stop = ref false in
       List.iter
         (fun mechanism ->
@@ -201,73 +226,56 @@ let run_iteration config deadline (iter, seed) =
             let cfg = Config.with_mechanism mechanism Config.default in
             let mech_name = Config.Mechanism.to_string mechanism in
             incr oracle_runs;
-            match
-              Oracle.run ~max_insns:budget
-                ?reference:
-                  (Option.map
-                     (fun m -> Gen.apply_mutation m program)
-                     config.mutation)
-                ~deadline cfg program
-            with
+            match check cfg with
             | exception (Deadline.Job_timeout _ as e) -> raise e
             | exception e ->
               stop := true;
+              crash mech_name (Printexc.to_string e)
+            | Ok t -> traces := !traces @ [ (mechanism, t) ]
+            | Error (report, signature) ->
+              stop := true;
+              let unshrunk () = (listing (), insns, false) in
+              let listing, insns, shrunk =
+                match g with
+                | Some g -> (
+                  match
+                    shrink_epa ~cfg ~deadline ~mutation:config.mutation
+                      ~signature g
+                  with
+                  | l, n -> (l, n, true)
+                  | exception (Deadline.Job_timeout _ as e) -> raise e
+                  | exception _ -> unshrunk ())
+                | None -> unshrunk ()
+              in
               add
-                (mk ~mechanism:mech_name ~kind:Crash
-                   ~detail:(Printexc.to_string e) ~report:Json.Null
-                   ~listing:(listing ())
-                   ~insns:(Elag_isa.Program.length program) ~shrunk:false)
-            | report -> (
-              match Oracle.signature report with
-              | None -> ()
-              | Some signature ->
-                stop := true;
-                let listing, insns, shrunk =
-                  match g with
-                  | Some g -> (
-                    match
-                      shrink_epa ~cfg ~deadline ~mutation:config.mutation
-                        ~signature g
-                    with
-                    | l, n -> (l, n, true)
-                    | exception (Deadline.Job_timeout _ as e) -> raise e
-                    | exception _ ->
-                      ( Fmt.str "%a" Elag_isa.Program.pp program
-                      , Elag_isa.Program.length program
-                      , false ))
-                  | None ->
-                    ( listing ()
-                    , Elag_isa.Program.length program
-                    , false )
-                in
-                add
-                  (mk ~mechanism:mech_name ~kind:Divergence ~detail:signature
-                     ~report:(Oracle.to_json report) ~listing ~insns ~shrunk))
+                (mk ~mechanism:mech_name ~kind:Divergence ~detail:signature
+                   ~report:(Oracle.to_json report) ~listing ~insns ~shrunk)
           end)
         config.mechanisms;
-      (* fault layer: seeded plan on clean EPA programs *)
+      (* fault layer: seeded plan on clean EPA programs, against the
+         trace its preset already produced *)
       if
         (not !stop) && config.fault_every > 0
         && (iter + 1) mod config.fault_every = 0
         && source = "epa"
       then begin
         let frng = Xorshift.create (seed lxor 0xFA17) in
-        let target, mech_name =
+        let target =
           fault_targets.(Xorshift.int frng (Array.length fault_targets))
         in
-        let cfg =
-          Config.with_mechanism (mechanism_of_name mech_name) Config.default
-        in
-        match Fault.baseline ~max_insns:budget ~deadline cfg program with
+        let mech_name = Fault.preset target in
+        let mechanism = Config.Mechanism.of_string_exn mech_name in
+        let cfg = Config.with_mechanism mechanism Config.default in
+        match
+          match List.assoc_opt mechanism !traces with
+          | Some t -> t
+          | None -> Oracle.trace ~max_insns:budget ~deadline cfg program
+        with
         | exception (Deadline.Job_timeout _ as e) -> raise e
         | exception e ->
-          add
-            (mk ~mechanism:mech_name ~kind:Crash
-               ~detail:(Printf.sprintf "fault baseline: %s" (Printexc.to_string e))
-               ~report:Json.Null ~listing:(listing ())
-               ~insns:(Elag_isa.Program.length program) ~shrunk:false)
+          crash mech_name ("fault baseline: " ^ Printexc.to_string e)
         | base ->
-          let retired = max 1 base.Fault.base_retired in
+          let retired = max 1 base.Oracle.retired in
           let plan =
             { Fault.name = Fmt.str "fuzz-%a" Fault.pp_target target
             ; seed = Xorshift.next frng
@@ -278,12 +286,7 @@ let run_iteration config deadline (iter, seed) =
           incr fault_runs;
           match Fault.run_plan ~max_insns:budget ~deadline ~baseline:base cfg program plan with
           | exception (Deadline.Job_timeout _ as e) -> raise e
-          | exception e ->
-            add
-              (mk ~mechanism:mech_name ~kind:Crash
-                 ~detail:(Printf.sprintf "fault plan: %s" (Printexc.to_string e))
-                 ~report:Json.Null ~listing:(listing ())
-                 ~insns:(Elag_isa.Program.length program) ~shrunk:false)
+          | exception e -> crash mech_name ("fault plan: " ^ Printexc.to_string e)
           | outcome ->
             (* On arbitrary programs only the architectural invariants
                are universal: corrupted hint state may legitimately
@@ -297,8 +300,7 @@ let run_iteration config deadline (iter, seed) =
                         plan.Fault.name outcome.Fault.output_ok
                         outcome.Fault.stream_ok)
                    ~report:(Fault.outcome_to_json outcome)
-                   ~listing:(listing ())
-                   ~insns:(Elag_isa.Program.length program) ~shrunk:false)
+                   ~listing:(listing ()) ~insns ~shrunk:false)
       end;
       finish ()))
 

@@ -2,8 +2,10 @@
 
     One iteration = one seeded program (EPA-32 typed construction, or
     MiniC through the front-end every [minic_every]-th iteration)
-    linted and run through every configured mechanism preset under the
-    differential oracle, with a seeded fault plan layered on every
+    linted and run through every configured mechanism preset — the
+    first under the lockstep {!Elag_verify.Oracle.run}, each later one
+    an {!Elag_verify.Oracle.trace} that must reproduce the first's
+    output and stream — with a seeded fault plan layered on every
     [fault_every]-th iteration.  Iterations are pure functions of
     their seed and fan out on the supervised pool
     ({!Elag_engine.Pool.run_supervised}), so the summary is

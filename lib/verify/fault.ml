@@ -1,7 +1,7 @@
 (* Deterministic fault injection into live predictor state.
 
-   Mechanics: the faulted run drives the normal pipeline observer, plus
-   a trigger check on the retire count.  When a trigger fires, the
+   Mechanics: the faulted run is an {!Oracle.trace} with a trigger
+   check on the retire count as its observer.  When a trigger fires, the
    plan's corruption is applied directly to the pipeline's predictor
    structures through the fault hooks ({!Elag_sim.Pipeline.addr_table}
    and friends).  Corruption draws randomness only from the plan's own
@@ -11,7 +11,7 @@
 
    The invariants checked against the fault-free baseline:
    - program output byte-identical,
-   - retired-instruction stream identical (FNV fingerprint + count),
+   - retired-instruction stream identical ({!Oracle.same_stream}),
    - cycle count >= the fault-free cycle count.
 
    The first two hold by construction (the pipeline only observes the
@@ -21,9 +21,7 @@
    adversarial (lost predictions, misdirected BTB targets), and
    determinism makes the once-verified inequality permanent. *)
 
-module Insn = Elag_isa.Insn
 module Pipeline = Elag_sim.Pipeline
-module Emulator = Elag_sim.Emulator
 module Addr_table = Elag_predict.Addr_table
 module Stride_entry = Elag_predict.Stride_entry
 module Bric = Elag_predict.Bric
@@ -85,24 +83,14 @@ let pp_target ppf = function
   | Btb_target { slot } -> Fmt.pf ppf "btb-target[%d]" slot
   | Btb_scramble { slot } -> Fmt.pf ppf "btb-scramble[%d]" slot
 
-(* --- retire-stream fingerprint ---------------------------------------- *)
-
-(* FNV-1a over the observer tuple.  [Hashtbl.hash] on the instruction
-   is deterministic for a given compiler, which is all the comparison
-   between two runs in the same process (or CI job) needs. *)
-
-let fnv_prime = 0x100000001B3
-
-let stream_hash_init = 0x4BF29CE484222325
-
-let mix h x = (h lxor (x land max_int)) * fnv_prime land max_int
-
-let stream_hash_step h pc insn eff taken next_pc =
-  let h = mix h pc in
-  let h = mix h (Hashtbl.hash insn) in
-  let h = mix h eff in
-  let h = mix h (if taken then 1 else 0) in
-  mix h next_pc
+(* The preset a target rides: each structure exists only under the
+   mechanisms that instantiate it — the address table under the table
+   and dual presets, the BRIC under calc, R_addr under dual. *)
+let preset = function
+  | Table_scramble _ | Table_pa _ -> "table-256-cc"
+  | Table_state _ | Raddr_unbind -> "dual-cc"
+  | Bric_flush | Bric_delay _ -> "calc-8"
+  | Btb_target _ | Btb_scramble _ -> "baseline"
 
 (* --- corruption ------------------------------------------------------- *)
 
@@ -200,31 +188,6 @@ let apply pipe rng target =
 
 (* --- running ---------------------------------------------------------- *)
 
-type baseline =
-  { base_output : string
-  ; base_hash : int
-  ; base_retired : int
-  ; base_cycles : int }
-
-let baseline ?max_insns ?(deadline = Deadline.never) (cfg : Elag_sim.Config.t)
-    program =
-  let pipe = Pipeline.create cfg in
-  let pipe_obs = Pipeline.observer pipe in
-  let hash = ref stream_hash_init in
-  let retired = ref 0 in
-  let obs pc insn eff taken next_pc =
-    Deadline.check deadline;
-    pipe_obs pc insn eff taken next_pc;
-    hash := stream_hash_step !hash pc insn eff taken next_pc;
-    incr retired
-  in
-  let emu = Emulator.create program in
-  Emulator.run ~observer:obs ?max_insns emu;
-  { base_output = Emulator.output emu
-  ; base_hash = !hash
-  ; base_retired = !retired
-  ; base_cycles = (Pipeline.stats pipe).cycles }
-
 type outcome =
   { plan : plan
   ; injections : int
@@ -236,24 +199,17 @@ type outcome =
 
 let outcome_ok o = o.output_ok && o.stream_ok && o.cycles_ok
 
-let run_plan ?max_insns ?(deadline = Deadline.never)
-    ~baseline:(base : baseline) (cfg : Elag_sim.Config.t) program (plan : plan)
-    =
+let run_plan ?max_insns ?deadline ~(baseline : Oracle.trace)
+    (cfg : Elag_sim.Config.t) program (plan : plan) =
   if plan.first < 0 then invalid_arg "Fault.run_plan: negative first";
   (match plan.period with
   | Some p when p <= 0 -> invalid_arg "Fault.run_plan: non-positive period"
   | _ -> ());
-  let pipe = Pipeline.create cfg in
-  let pipe_obs = Pipeline.observer pipe in
   let rng = Xorshift.create plan.seed in
-  let hash = ref stream_hash_init in
   let retired = ref 0 in
   let injections = ref 0 in
   let next_trigger = ref plan.first in
-  let obs pc insn eff taken next_pc =
-    Deadline.check deadline;
-    pipe_obs pc insn eff taken next_pc;
-    hash := stream_hash_step !hash pc insn eff taken next_pc;
+  let trigger pipe _ _ _ _ _ =
     incr retired;
     if !retired >= !next_trigger then begin
       if apply pipe rng plan.target then incr injections;
@@ -263,17 +219,14 @@ let run_plan ?max_insns ?(deadline = Deadline.never)
         | None -> max_int)
     end
   in
-  let emu = Emulator.create program in
-  Emulator.run ~observer:obs ?max_insns emu;
-  let output = Emulator.output emu in
-  let faulted_cycles = (Pipeline.stats pipe).cycles in
+  let faulted = Oracle.trace ?max_insns ?deadline ~observer:trigger cfg program in
   { plan
   ; injections = !injections
-  ; faulted_cycles
-  ; clean_cycles = base.base_cycles
-  ; output_ok = String.equal output base.base_output
-  ; stream_ok = !hash = base.base_hash && !retired = base.base_retired
-  ; cycles_ok = faulted_cycles >= base.base_cycles }
+  ; faulted_cycles = faulted.cycles
+  ; clean_cycles = baseline.cycles
+  ; output_ok = String.equal faulted.output baseline.output
+  ; stream_ok = Oracle.same_stream faulted baseline
+  ; cycles_ok = faulted.cycles >= baseline.cycles }
 
 let pp_outcome ppf o =
   Fmt.pf ppf "%-24s %a seed=%-6d inj=%-3d cycles %d -> %d  %s" o.plan.name

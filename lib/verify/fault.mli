@@ -54,28 +54,11 @@ val target_of_string : string -> target option
 val target_names : string list
 (** Every parseable target name, for usage text. *)
 
-(** {2 Retire-stream fingerprint} *)
-
-val stream_hash_init : int
-
-val stream_hash_step : int -> int -> Elag_isa.Insn.t -> int -> bool -> int -> int
-(** FNV-1a-style fold of one retire event into the running hash. *)
+val preset : target -> string
+(** The mechanism preset whose structures the target corrupts
+    ("table-256-cc", "dual-cc", "calc-8" or "baseline"). *)
 
 (** {2 Running plans} *)
-
-type baseline =
-  { base_output : string
-  ; base_hash : int
-  ; base_retired : int
-  ; base_cycles : int }
-
-val baseline :
-  ?max_insns:int -> ?deadline:Deadline.t -> Elag_sim.Config.t ->
-  Elag_isa.Program.t -> baseline
-(** Fault-free run; shared across every plan on the same
-    (config, program) pair.  [deadline] is polled once per retired
-    instruction, so a hung run raises {!Deadline.Job_timeout} instead
-    of blocking its worker forever. *)
 
 type outcome =
   { plan : plan
@@ -83,7 +66,7 @@ type outcome =
   ; faulted_cycles : int
   ; clean_cycles : int
   ; output_ok : bool  (** program output byte-identical *)
-  ; stream_ok : bool  (** retire stream identical (hash + count) *)
+  ; stream_ok : bool  (** retire stream identical ({!Oracle.same_stream}) *)
   ; cycles_ok : bool  (** [faulted_cycles >= clean_cycles] *) }
 
 val outcome_ok : outcome -> bool
@@ -91,14 +74,16 @@ val outcome_ok : outcome -> bool
 val run_plan :
   ?max_insns:int ->
   ?deadline:Deadline.t ->
-  baseline:baseline ->
+  baseline:Oracle.trace ->
   Elag_sim.Config.t ->
   Elag_isa.Program.t ->
   plan ->
   outcome
 (** Re-run the program with the plan's corruptions applied at their
-    retire triggers and check the three invariants against the
-    baseline. *)
+    retire triggers and check the three invariants against [baseline],
+    the fault-free {!Oracle.trace} of the same (config, program).
+    [deadline] is polled once per retired instruction, so a hung run
+    raises {!Deadline.Job_timeout} instead of blocking its worker. *)
 
 val pp_outcome : outcome Fmt.t
 

@@ -1,9 +1,4 @@
-(* Lockstep differential oracle over the retired-instruction stream.
-
-   The subject run drives a pipeline observer as usual; the oracle
-   rides on the same observer and, for every subject retire, steps a
-   second, independent emulator over the reference program and demands
-   the two retire events agree field by field.  Divergence handling is
+(* Retire-stream checks.  Divergence handling in the lockstep is
    first-failure: the initial disagreement is captured together with a
    short window of the agreeing events that led up to it, and the
    reference emulator is frozen so a cascade of follow-on mismatches
@@ -11,7 +6,69 @@
 
 module Insn = Elag_isa.Insn
 module Emulator = Elag_sim.Emulator
+module Pipeline = Elag_sim.Pipeline
 module Json = Elag_telemetry.Json
+
+(* --- fingerprinted runs ----------------------------------------------- *)
+
+type trace =
+  { output : string
+  ; fingerprint : int
+  ; retired : int
+  ; observed : int
+  ; cycles : int }
+
+(* FNV-1a over the observer tuple.  [Hashtbl.hash] on the instruction
+   is deterministic for a given compiler, which is all the comparison
+   between two runs in the same process (or CI job) needs. *)
+
+let fnv_prime = 0x100000001B3
+
+let fnv_basis = 0x4BF29CE484222325
+
+let mix h x = (h lxor (x land max_int)) * fnv_prime land max_int
+
+let fold h pc insn eff taken next_pc =
+  let h = mix h pc in
+  let h = mix h (Hashtbl.hash insn) in
+  let h = mix h eff in
+  let h = mix h (if taken then 1 else 0) in
+  mix h next_pc
+
+let trace ?max_insns ?(deadline = Deadline.never) ?observer
+    (cfg : Elag_sim.Config.t) program =
+  let pipe = Pipeline.create cfg in
+  let pipe_obs = Pipeline.observer pipe in
+  let extra =
+    match observer with Some f -> f pipe | None -> fun _ _ _ _ _ -> ()
+  in
+  let fingerprint = ref fnv_basis in
+  let retired = ref 0 in
+  let obs pc insn eff taken next_pc =
+    Deadline.check deadline;
+    pipe_obs pc insn eff taken next_pc;
+    fingerprint := fold !fingerprint pc insn eff taken next_pc;
+    incr retired;
+    extra pc insn eff taken next_pc
+  in
+  let emu = Emulator.create program in
+  Emulator.run ~observer:obs ?max_insns emu;
+  let stats = Pipeline.stats pipe in
+  { output = Emulator.output emu
+  ; fingerprint = !fingerprint
+  ; retired = !retired
+  ; observed = stats.instructions
+  ; cycles = stats.cycles }
+
+(* The pipeline is handed every retire by the same callback that counts
+   them; a refactor that lets it drop one shows up here. *)
+let complete t = t.observed = t.retired
+
+let same_stream a b =
+  complete a && complete b && a.fingerprint = b.fingerprint
+  && a.retired = b.retired
+
+(* --- lockstep oracle -------------------------------------------------- *)
 
 type event =
   { ev_index : int
@@ -30,37 +87,27 @@ type divergence =
 type report =
   { compared : int
   ; divergence : divergence option
-  ; subject_output : string
+  ; subject : trace
   ; reference_output : string
   ; outputs_match : bool
-  ; reference_trailing : bool
-  ; subject_cycles : int }
+  ; reference_trailing : bool }
 
 let ok r =
-  r.divergence = None && r.outputs_match && not r.reference_trailing
+  r.divergence = None && r.outputs_match && (not r.reference_trailing)
+  && complete r.subject
 
-type t =
+type lockstep =
   { reference : Emulator.t
   ; keep : int
   ; recent : event Queue.t
   ; mutable compared : int
   ; mutable div : divergence option }
 
-let create ?(keep = 8) program =
-  if keep < 0 then invalid_arg "Oracle.create";
-  { reference = Emulator.create program
-  ; keep
-  ; recent = Queue.create ()
-  ; compared = 0
-  ; div = None }
-
-let recent_list t = List.of_seq (Queue.to_seq t.recent)
-
 let event_equal a b =
   a.ev_pc = b.ev_pc && a.ev_insn = b.ev_insn && a.ev_eff = b.ev_eff
   && a.ev_taken = b.ev_taken && a.ev_next_pc = b.ev_next_pc
 
-let observer t : Emulator.observer =
+let check t : Emulator.observer =
  fun pc insn eff taken next_pc ->
   if t.div = None then begin
     let subject =
@@ -96,35 +143,28 @@ let observer t : Emulator.observer =
           { div_index = t.compared
           ; div_subject = subject
           ; div_reference = reference
-          ; div_recent = recent_list t }
+          ; div_recent = List.of_seq (Queue.to_seq t.recent) }
   end
 
-let divergence t = t.div
-
-let run ?max_insns ?keep ?reference ?(deadline = Deadline.never)
-    (cfg : Elag_sim.Config.t) program =
-  let reference_prog = Option.value reference ~default:program in
-  let oracle = create ?keep reference_prog in
-  let pipe = Elag_sim.Pipeline.create cfg in
-  let pipe_obs = Elag_sim.Pipeline.observer pipe in
-  let oracle_obs = observer oracle in
-  let obs pc insn eff taken next_pc =
-    Deadline.check deadline;
-    pipe_obs pc insn eff taken next_pc;
-    oracle_obs pc insn eff taken next_pc
+let run ?max_insns ?(keep = 8) ?reference ?deadline cfg program =
+  if keep < 0 then invalid_arg "Oracle.run";
+  let t =
+    { reference = Emulator.create (Option.value reference ~default:program)
+    ; keep
+    ; recent = Queue.create ()
+    ; compared = 0
+    ; div = None }
   in
-  let subject = Emulator.create program in
-  Emulator.run ~observer:obs ?max_insns subject;
-  let subject_output = Emulator.output subject in
-  let reference_output = Emulator.output oracle.reference in
-  { compared = oracle.compared
-  ; divergence = oracle.div
-  ; subject_output
+  let subject =
+    trace ?max_insns ?deadline ~observer:(fun _ -> check t) cfg program
+  in
+  let reference_output = Emulator.output t.reference in
+  { compared = t.compared
+  ; divergence = t.div
+  ; subject
   ; reference_output
-  ; outputs_match = String.equal subject_output reference_output
-  ; reference_trailing =
-      oracle.div = None && not (Emulator.halted oracle.reference)
-  ; subject_cycles = (Elag_sim.Pipeline.stats pipe).cycles }
+  ; outputs_match = String.equal subject.output reference_output
+  ; reference_trailing = t.div = None && not (Emulator.halted t.reference) }
 
 (* --- failure signature ------------------------------------------------ *)
 
@@ -164,6 +204,7 @@ let signature r =
   | None ->
     if not r.outputs_match then Some "output-mismatch"
     else if r.reference_trailing then Some "reference-trailing"
+    else if not (complete r.subject) then Some "skipped-retire"
     else None
 
 (* --- rendering -------------------------------------------------------- *)
@@ -177,14 +218,17 @@ let pp ppf r =
   | None ->
     if ok r then
       Fmt.pf ppf "oracle: ok (%d events, %d cycles)" r.compared
-        r.subject_cycles
+        r.subject.cycles
     else if not r.outputs_match then
       Fmt.pf ppf "oracle: OUTPUT MISMATCH after %d agreeing events"
         r.compared
-    else
+    else if r.reference_trailing then
       Fmt.pf ppf
         "oracle: REFERENCE TRAILING (subject halted after %d events)"
         r.compared
+    else
+      Fmt.pf ppf "oracle: SKIPPED RETIRE (pipeline observed %d of %d)"
+        r.subject.observed r.subject.retired
   | Some d ->
     Fmt.pf ppf "oracle: DIVERGENCE at retire #%d@,  subject:   %a@,"
       d.div_index pp_event d.div_subject;
@@ -224,5 +268,5 @@ let to_json r =
     ; ("compared", Json.Int r.compared)
     ; ("outputs_match", Json.Bool r.outputs_match)
     ; ("reference_trailing", Json.Bool r.reference_trailing)
-    ; ("subject_cycles", Json.Int r.subject_cycles)
+    ; ("subject_cycles", Json.Int r.subject.cycles)
     ; ("divergence", divergence) ]

@@ -92,6 +92,35 @@ let test_gen_params_roundtrip () =
   | Ok p' -> check_bool "params roundtrip" true (p = p')
   | Error msg -> Alcotest.fail msg
 
+let test_fingerprint_sensitivity () =
+  (* Presets after the first and fault plans compare trace
+     fingerprints, not events: wherever the lockstep tells a mutated
+     program's stream apart from the original's, the traces must differ
+     too.  A mutated program may trap or overrun its budget; only seeds
+     where the lockstep diverges and both traces complete count. *)
+  List.iter
+    (fun mutation ->
+      let compared = ref 0 in
+      for seed = 0 to 19 do
+        let g = Gen.program seed in
+        let max_insns = g.Gen.budget and original = g.Gen.program in
+        let mutated = Gen.apply_mutation mutation original in
+        match
+          ( Oracle.run ~max_insns ~reference:mutated Config.default original
+          , Oracle.trace ~max_insns Config.default mutated )
+        with
+        | exception _ -> ()
+        | r, t when r.Oracle.divergence <> None ->
+          incr compared;
+          check_bool
+            (Printf.sprintf "%s seed %d: traces differ" mutation seed)
+            false
+            (Oracle.same_stream r.Oracle.subject t)
+        | _ -> ()
+      done;
+      check_bool (mutation ^ ": some seeds diverge") true (!compared > 0))
+    Gen.mutation_names
+
 (* --- shrinker -------------------------------------------------------------- *)
 
 let test_shrink_minimizes () =
@@ -219,6 +248,8 @@ let suite =
   ; Alcotest.test_case "gen: minic compiles green" `Quick
       test_gen_minic_compiles_green
   ; Alcotest.test_case "gen: params roundtrip" `Quick test_gen_params_roundtrip
+  ; Alcotest.test_case "oracle: fingerprint sensitivity" `Quick
+      test_fingerprint_sensitivity
   ; Alcotest.test_case "shrink: minimizes to witness" `Quick
       test_shrink_minimizes
   ; Alcotest.test_case "campaign: -j4 = -j1 (determinism pin)" `Quick

@@ -163,7 +163,7 @@ let test_oracle_self_agreement () =
   check_bool "ok" true (Oracle.ok r);
   check "compared all retires" 3 r.Oracle.compared;
   check_bool "outputs match" true r.Oracle.outputs_match;
-  check_bool "cycles counted" true (r.Oracle.subject_cycles > 0)
+  check_bool "cycles counted" true (r.Oracle.subject.Oracle.cycles > 0)
 
 let test_oracle_detects_divergence () =
   (* Same shape, different immediate: first event already disagrees. *)
@@ -192,6 +192,19 @@ let test_oracle_recent_ring_bounded () =
     (match List.rev d.Oracle.div_recent with
     | last :: _ -> check "ring ends at index 5" 5 last.Oracle.ev_index
     | [] -> Alcotest.fail "ring empty")
+
+let test_oracle_skipped_retire () =
+  (* The lockstep checker and the pipeline share one callback, so only
+     the pipeline's own count can reveal a retire it never saw. *)
+  let r = Oracle.run Config.default (asm (print_n 7)) in
+  let t = r.Oracle.subject in
+  let skipped = { t with Oracle.observed = t.Oracle.retired - 1 } in
+  check_bool "full trace agrees with itself" true (Oracle.same_stream t t);
+  check_bool "stream check sees the skip" false (Oracle.same_stream skipped t);
+  let r = { r with Oracle.subject = skipped } in
+  check_bool "report not ok" false (Oracle.ok r);
+  Alcotest.(check (option string))
+    "signature" (Some "skipped-retire") (Oracle.signature r)
 
 let test_oracle_on_workload () =
   let e = Lazy.force engine in
@@ -232,7 +245,7 @@ let test_fault_plan_deterministic () =
           Config.Mechanism.of_string_exn entry.Verification.mechanism }
     in
     let p = Engine.program e w in
-    let base = Fault.baseline cfg p in
+    let base = Oracle.trace cfg p in
     let o1 = Fault.run_plan ~baseline:base cfg p entry.Verification.plan in
     let o2 = Fault.run_plan ~baseline:base cfg p entry.Verification.plan in
     check "injections reproduce" o1.Fault.injections o2.Fault.injections;
@@ -382,6 +395,7 @@ let suite =
       test_oracle_detects_divergence
   ; Alcotest.test_case "oracle: recent ring bounded" `Quick
       test_oracle_recent_ring_bounded
+  ; Alcotest.test_case "oracle: skipped retire" `Quick test_oracle_skipped_retire
   ; Alcotest.test_case "oracle: workload green" `Quick test_oracle_on_workload
   ; Alcotest.test_case "fault: smoke matrix" `Quick test_fault_smoke_matrix
   ; Alcotest.test_case "fault: plans deterministic" `Quick

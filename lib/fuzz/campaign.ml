@@ -26,7 +26,6 @@ module Deadline = Elag_verify.Deadline
 module Xorshift = Elag_verify.Xorshift
 module Pool = Elag_engine.Pool
 module Json = Elag_telemetry.Json
-module Metrics = Elag_telemetry.Metrics
 
 type config =
   { seed : int
@@ -383,31 +382,28 @@ let run ?(jobs = 1) ?budget_ms config =
   ; failures = List.rev !failures
   ; saved }
 
-let metrics summary =
-  let m = Metrics.create () in
-  let set name v = Metrics.set (Metrics.counter m name) v in
-  set "iterations" summary.iterations;
-  set "oracle_runs" summary.oracle_runs;
-  set "fault_runs" summary.fault_runs;
-  set "findings" (List.length summary.findings);
-  let count kind =
-    List.length (List.filter (fun f -> f.f_kind = kind) summary.findings)
-  in
-  set "divergences" (count Divergence);
-  set "fault_violations" (count Fault_violation);
-  set "lint_rejects" (count Lint_reject);
-  set "crashes" (count Crash);
-  set "job_failures"
-    (List.length
-       (List.filter
-          (fun (_, f) -> match f with Pool.Job_failed _ -> true | _ -> false)
-          summary.failures));
-  set "job_timeouts"
-    (List.length
-       (List.filter
-          (fun (_, f) -> match f with Pool.Job_timeout _ -> true | _ -> false)
-          summary.failures));
-  m
+(* The summary's counters, and an always-empty histograms object kept
+   for the summary schema. *)
+let metrics_json summary =
+  let count p l = Json.Int (List.length (List.filter p l)) in
+  let findings kind = count (fun f -> f.f_kind = kind) summary.findings in
+  let failures p = count (fun (_, f) -> p f) summary.failures in
+  Json.Obj
+    [ ( "counters"
+      , Json.Obj
+          [ ("iterations", Json.Int summary.iterations)
+          ; ("oracle_runs", Json.Int summary.oracle_runs)
+          ; ("fault_runs", Json.Int summary.fault_runs)
+          ; ("findings", Json.Int (List.length summary.findings))
+          ; ("divergences", findings Divergence)
+          ; ("fault_violations", findings Fault_violation)
+          ; ("lint_rejects", findings Lint_reject)
+          ; ("crashes", findings Crash)
+          ; ( "job_failures"
+            , failures (function Pool.Job_failed _ -> true | _ -> false) )
+          ; ( "job_timeouts"
+            , failures (function Pool.Job_timeout _ -> true | _ -> false) ) ] )
+    ; ("histograms", Json.Obj []) ]
 
 let finding_to_json f =
   Json.Obj
@@ -445,7 +441,7 @@ let summary_json summary =
               | None -> Json.Null
               | Some t -> Json.Int t )
           ; ("retries", Json.Int c.retries) ] )
-    ; ("metrics", Metrics.to_json (metrics summary))
+    ; ("metrics", metrics_json summary)
     ; ("findings", Json.List (List.map finding_to_json summary.findings))
     ; ( "failures"
       , Json.List

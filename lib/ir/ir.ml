@@ -149,15 +149,6 @@ let map_address subst_reg = function
   | Base_index (b, i) -> Base_index (subst_reg b, subst_reg i)
   | (Abs _ | Abs_sym _) as a -> a
 
-let map_inst_uses ~operand ~reg = function
-  | Bin (op, d, a, b) -> Bin (op, d, map_operand operand a, map_operand operand b)
-  | Mov (d, a) -> Mov (d, map_operand operand a)
-  | Load l -> Load { l with addr = map_address reg l.addr }
-  | Store s ->
-    Store { s with src = map_operand operand s.src; addr = map_address reg s.addr }
-  | Call c -> Call { c with args = List.map (map_operand operand) c.args }
-  | (Global_addr _ | Slot_addr _) as i -> i
-
 let map_term_uses ~operand = function
   | Br b -> Br { b with src1 = map_operand operand b.src1; src2 = map_operand operand b.src2 }
   | Ret (Some op) -> Ret (Some (map_operand operand op))

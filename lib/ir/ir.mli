@@ -108,11 +108,6 @@ val successors : terminator -> string list
 val map_operand : (vreg -> operand) -> operand -> operand
 val map_address : (vreg -> vreg) -> address -> address
 
-val map_inst_uses :
-  operand:(vreg -> operand) -> reg:(vreg -> vreg) -> inst -> inst
-(** Substitute use positions: [operand] rewrites value operands,
-    [reg] rewrites address registers (which must stay registers). *)
-
 val map_term_uses : operand:(vreg -> operand) -> terminator -> terminator
 
 val has_side_effect : inst -> bool

@@ -51,11 +51,6 @@ type t =
 
 let size_bytes = function Byte -> 1 | Half -> 2 | Word -> 4
 
-let addr_mode_registers = function
-  | Base_offset (b, _) -> [ b ]
-  | Base_index (b, i) -> [ b; i ]
-  | Absolute _ -> []
-
 (* Top-level helpers, so that [iter_uses] with a top-level [f]
    allocates nothing: the timing pipeline calls it per retired
    instruction. *)
@@ -102,8 +97,6 @@ let defs insn =
 
 let is_load = function Load _ -> true | _ -> false
 let is_store = function Store _ -> true | _ -> false
-
-let is_memory insn = is_load insn || is_store insn
 
 let is_branch = function
   | Branch _ | Jump _ | Jal _ | Jalr _ | Jr _ -> true

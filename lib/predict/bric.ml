@@ -1,7 +1,7 @@
 (* Base-register cache (BRIC) for the hardware-only early-calculation
    baseline, after Austin & Sohi: an N-entry cache of base-register
    identities whose values are kept coherent with the register file by
-   multicast writes.
+   multicast writes.  At one entry it is the paper's R_addr (§3.2.1).
 
    Value coherence is modeled by the pipeline through the register
    scoreboard (a cached value is stale exactly when a write to the
@@ -69,9 +69,6 @@ let probe t ~cycle reg =
     make_mru t (t.resident - 1) reg (cycle + 1);
     false
   end
-
-let hit_rate t =
-  if t.probes = 0 then 0. else float_of_int t.hits /. float_of_int t.probes
 
 type stats = { br_probes : int; br_hits : int; br_evictions : int }
 

@@ -3,7 +3,11 @@
     base-register identities whose values are kept coherent with the
     register file by multicast writes.  Value staleness is checked by
     the pipeline through its scoreboard; the structure tracks residency
-    and the cycle an entry's value becomes usable. *)
+    and the cycle an entry's value becomes usable.
+
+    The paper's addressing register R_addr (§3.2.1) is a one-entry
+    BRIC: a probe that misses rebinds it, usable from the next cycle,
+    and {!flush} unbinds it. *)
 
 type t
 
@@ -16,8 +20,6 @@ val peek : t -> cycle:int -> int -> bool
 val probe : t -> cycle:int -> int -> bool
 (** Counted probe; allocates on a miss (the new entry's value is
     usable from the next cycle) and refreshes LRU order on a hit. *)
-
-val hit_rate : t -> float
 
 type stats = { br_probes : int; br_hits : int; br_evictions : int }
 

@@ -8,18 +8,14 @@ type slot =
 
 type t =
   { slots : slot array
-  ; mask : int  (* entries - 1 when entries is a power of two, else -1 *)
-  ; mutable lookups : int
-  ; mutable mispredictions : int }
+  ; mask : int  (* entries - 1 when entries is a power of two, else -1 *) }
 
 type prediction = { pred_taken : bool; pred_target : int }
 
 let create entries =
   if entries <= 0 then invalid_arg "Btb.create";
   { slots = Array.init entries (fun _ -> { tag = -1; target = 0; counter = 0 })
-  ; mask = (if entries land (entries - 1) = 0 then entries - 1 else -1)
-  ; lookups = 0
-  ; mispredictions = 0 }
+  ; mask = (if entries land (entries - 1) = 0 then entries - 1 else -1) }
 
 (* [pc >= 0]; a mask instead of a division for power-of-two sizes *)
 let index t pc = if t.mask >= 0 then pc land t.mask else pc mod Array.length t.slots
@@ -27,7 +23,6 @@ let index t pc = if t.mask >= 0 then pc land t.mask else pc mod Array.length t.s
 (* Predict the outcome of the control instruction at [pc].  A BTB miss
    predicts not-taken (sequential fetch). *)
 let predict t pc =
-  t.lookups <- t.lookups + 1;
   let slot = t.slots.(index t pc) in
   if slot.tag = pc then { pred_taken = slot.counter >= 2; pred_target = slot.target }
   else { pred_taken = false; pred_target = pc + 1 }
@@ -41,7 +36,6 @@ let update t pc ~taken ~target =
   let pred_taken = hit && slot.counter >= 2 in
   let pred_target = if hit then slot.target else pc + 1 in
   let correct = pred_taken = taken && ((not taken) || pred_target = target) in
-  if not correct then t.mispredictions <- t.mispredictions + 1;
   if hit then begin
     slot.counter <-
       (if taken then Int.min 3 (slot.counter + 1) else Int.max 0 (slot.counter - 1));
@@ -54,8 +48,6 @@ let update t pc ~taken ~target =
     slot.counter <- 2
   end;
   correct
-
-let misprediction_count t = t.mispredictions
 
 (* --- fault-injection hooks (lib/verify) ------------------------------ *)
 

@@ -17,8 +17,6 @@ val update : t -> int -> taken:bool -> target:int -> bool
     Returns whether the earlier prediction was correct (direction, and
     target when taken). *)
 
-val misprediction_count : t -> int
-
 (** {2 Fault-injection hooks} *)
 
 val size : t -> int

@@ -83,7 +83,4 @@ let access t addr =
 (* A store-side access: write-through, no write-allocate. *)
 let access_store t addr = touch t (addr lsr t.line_bits) >= 0
 
-let miss_rate t =
-  if t.accesses = 0 then 0. else float_of_int t.misses /. float_of_int t.accesses
-
 let stats t = (t.accesses, t.misses)

@@ -42,7 +42,6 @@ module Insn = Elag_isa.Insn
 module Reg = Elag_isa.Reg
 module Addr_table = Elag_predict.Addr_table
 module Bric = Elag_predict.Bric
-module Raddr = Elag_predict.Raddr
 module Btb = Elag_predict.Btb
 module Stall = Elag_telemetry.Stall
 module Histogram = Elag_telemetry.Histogram
@@ -100,8 +99,7 @@ type t =
   ; dcache : Cache.t
   ; btb : Btb.t
   ; table : Addr_table.t option
-  ; bric : Bric.t option
-  ; raddr : Raddr.t option
+  ; bric : Bric.t option  (* BRIC under calc-N, R_addr under dual-* *)
   ; reg_ready : int array
   ; reg_cause : Stall.t array  (* why waiting on this register stalls *)
   ; port_cycle : int array  (* ring: which cycle this slot describes *)
@@ -160,13 +158,13 @@ let create (cfg : Config.t) =
     | Config.Dual { table_entries; _ } -> Some (Addr_table.create table_entries)
     | _ -> None
   in
+  (* R_addr is a one-entry BRIC: a probe that misses rebinds it, and
+     the new binding is usable from the next cycle. *)
   let bric =
     match cfg.mechanism with
     | Config.Calc_only { bric_entries } -> Some (Bric.create bric_entries)
+    | Config.Dual _ -> Some (Bric.create 1)
     | _ -> None
-  in
-  let raddr =
-    match cfg.mechanism with Config.Dual _ -> Some (Raddr.create ()) | _ -> None
   in
   let stores = 3 * Int.max 1 cfg.mem_ports in
   { cfg
@@ -179,7 +177,6 @@ let create (cfg : Config.t) =
   ; btb = Btb.create cfg.btb_entries
   ; table
   ; bric
-  ; raddr
   ; reg_ready = Array.make Reg.count 0
   ; reg_cause = Array.make Reg.count Stall.Raw_dependence
   ; port_cycle = Array.make ring_size (-1)
@@ -349,10 +346,7 @@ let eval_spec t c path ~predicted ~pa ~eff ~bytes addr =
     | Insn.Base_index _ | Insn.Absolute _ -> ()
     | Insn.Base_offset (base, _) ->
       let structure_hit =
-        match (t.raddr, t.bric) with
-        | Some r, _ -> Raddr.peek r ~cycle:(c - 2) base
-        | None, Some b -> Bric.peek b ~cycle:(c - 2) base
-        | None, None -> false
+        match t.bric with Some b -> Bric.peek b ~cycle:(c - 2) base | None -> false
       in
       let access_cycle = calc_access_cycle t c base in
       if structure_hit && access_cycle <= c && port_free t access_cycle then begin
@@ -444,12 +438,7 @@ let retire_load t pc spec addr ~predicted ~pa eff c =
   (* commit structure probes/bindings *)
   (match (path, addr) with
   | Calc, Insn.Base_offset (base, _) -> begin
-    match (t.raddr, t.bric) with
-    | Some r, _ ->
-      ignore (Raddr.probe r ~cycle:(c - 2) base);
-      Raddr.bind r ~cycle:(c - 2) base
-    | None, Some b -> ignore (Bric.probe b ~cycle:(c - 2) base)
-    | None, None -> ()
+    match t.bric with Some b -> ignore (Bric.probe b ~cycle:(c - 2) base) | None -> ()
   end
   | Table, _ -> begin
     (* the decode-stage table access: counted probe, hit on a tag match *)
@@ -645,14 +634,16 @@ let config t = t.cfg
 
 let table_stats t = Option.map Addr_table.stats t.table
 
-let bric_stats t = Option.map Bric.stats t.bric
+let bric_stats t =
+  match t.cfg.mechanism with
+  | Config.Calc_only _ -> Option.map Bric.stats t.bric
+  | _ -> None
 
 (* --- fault-injection hooks (lib/verify) -------------------------------- *)
 
 let btb t = t.btb
 let addr_table t = t.table
 let bric t = t.bric
-let raddr t = t.raddr
 let current_cycle t = t.cur_cycle
 
 (* --- telemetry accessors ---------------------------------------------- *)

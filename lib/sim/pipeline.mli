@@ -76,6 +76,8 @@ val config : t -> Config.t
 val table_stats : t -> Elag_predict.Addr_table.stats option
 
 val bric_stats : t -> Elag_predict.Bric.stats option
+(** [None] unless the mechanism is calc-N: R_addr under dual-* is not
+    reported as a BRIC. *)
 
 (** {2 Fault-injection hooks}
 
@@ -87,8 +89,10 @@ val bric_stats : t -> Elag_predict.Bric.stats option
 
 val btb : t -> Elag_predict.Btb.t
 val addr_table : t -> Elag_predict.Addr_table.t option
+
 val bric : t -> Elag_predict.Bric.t option
-val raddr : t -> Elag_predict.Raddr.t option
+(** The early-calculation register cache: the N-entry BRIC under
+    calc-N, and R_addr, modelled as a one-entry BRIC, under dual-*. *)
 
 val current_cycle : t -> int
 (** The current issue cycle, for cycle-relative corruption (e.g.

@@ -18,11 +18,8 @@ val to_json :
 (** [meta] fields (workload name, run timestamps, …) are embedded
     verbatim under a ["meta"] key when non-empty. *)
 
-val to_metrics : Pipeline.t -> Elag_telemetry.Metrics.t
-(** The same scalars as a metric registry (counters + the aggregate
-    latency histogram), for callers that want CSV or incremental
-    export rather than the nested document. *)
-
 val to_csv : ?meta:(string * string) list -> Pipeline.t -> string
-(** Flat export: a [metric,value] section from {!to_metrics} followed
-    by one CSV row per load site. *)
+(** Flat export: a [metric,value] section (the integer totals, busy and
+    per-cause stall cycles, and the non-empty load-latency buckets as
+    [load_latency_bucket_le_<bound>] rows) followed by one CSV row per
+    load site. *)

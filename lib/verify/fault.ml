@@ -25,7 +25,6 @@ module Pipeline = Elag_sim.Pipeline
 module Addr_table = Elag_predict.Addr_table
 module Stride_entry = Elag_predict.Stride_entry
 module Bric = Elag_predict.Bric
-module Raddr = Elag_predict.Raddr
 module Btb = Elag_predict.Btb
 module Json = Elag_telemetry.Json
 
@@ -123,6 +122,19 @@ let with_live_table pipe slot f =
       f tbl i;
       true)
 
+(* The pipeline's register cache is the BRIC under calc-N and R_addr,
+   a one-entry BRIC, under dual-*: the bric-* targets act on the former
+   only and raddr-unbind on the latter only. *)
+let with_reg_cache pipe ~dual f =
+  let is_dual =
+    match (Pipeline.config pipe).mechanism with Elag_sim.Config.Dual _ -> true | _ -> false
+  in
+  match Pipeline.bric pipe with
+  | Some c when is_dual = dual && Bric.resident_count c > 0 ->
+    f c;
+    true
+  | _ -> false
+
 (* Apply one corruption; returns whether live state was actually hit
    (an absent structure or a fully-empty one is a no-op trigger). *)
 let apply pipe rng target =
@@ -140,33 +152,10 @@ let apply pipe rng target =
         let _, entry = Addr_table.slot tbl i in
         entry.Stride_entry.state <- Stride_entry.Learning;
         entry.Stride_entry.stc <- false)
-  | Bric_flush -> (
-    match Pipeline.bric pipe with
-    | None -> false
-    | Some bric ->
-      if Bric.resident_count bric = 0 then false
-      else begin
-        Bric.flush bric;
-        true
-      end)
-  | Bric_delay { cycles } -> (
-    match Pipeline.bric pipe with
-    | None -> false
-    | Some bric ->
-      if Bric.resident_count bric = 0 then false
-      else begin
-        Bric.delay bric ~until:(Pipeline.current_cycle pipe + cycles);
-        true
-      end)
-  | Raddr_unbind -> (
-    match Pipeline.raddr pipe with
-    | None -> false
-    | Some raddr -> (
-      match Raddr.bound raddr with
-      | None -> false
-      | Some _ ->
-        Raddr.unbind raddr;
-        true))
+  | Bric_flush -> with_reg_cache pipe ~dual:false Bric.flush
+  | Bric_delay { cycles } ->
+    with_reg_cache pipe ~dual:false (Bric.delay ~until:(Pipeline.current_cycle pipe + cycles))
+  | Raddr_unbind -> with_reg_cache pipe ~dual:true Bric.flush
   | Btb_target { slot } -> (
     let btb = Pipeline.btb pipe in
     let size = Btb.size btb in

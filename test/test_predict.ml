@@ -6,7 +6,6 @@ module Stride_entry = Elag_predict.Stride_entry
 module Addr_table = Elag_predict.Addr_table
 module Ideal = Elag_predict.Ideal
 module Bric = Elag_predict.Bric
-module Raddr = Elag_predict.Raddr
 module Btb = Elag_predict.Btb
 
 let check = Alcotest.(check int)
@@ -158,20 +157,20 @@ let test_bric_allocation_delay () =
 
 (* --- R_addr ---------------------------------------------------------------- *)
 
+(* R_addr is a one-entry BRIC: each ld_e's probe rebinds it on a miss. *)
 let test_raddr_binding () =
-  let r = Raddr.create () in
-  check_bool "unbound" false (Raddr.probe r ~cycle:5 9);
-  Raddr.bind r ~cycle:5 9;
-  check_bool "not valid same cycle after switch" false (Raddr.peek r ~cycle:5 9);
-  check_bool "valid next cycle" true (Raddr.peek r ~cycle:6 9);
+  let r = Bric.create 1 in
+  check_bool "unbound" false (Bric.probe r ~cycle:5 9);
+  check_bool "not valid same cycle after switch" false (Bric.peek r ~cycle:5 9);
+  check_bool "valid next cycle" true (Bric.peek r ~cycle:6 9);
   (* rebinding to the same register is free *)
-  Raddr.bind r ~cycle:8 9;
-  check_bool "same-reg rebind keeps validity" true (Raddr.peek r ~cycle:8 9);
+  ignore (Bric.probe r ~cycle:8 9);
+  check_bool "same-reg rebind keeps validity" true (Bric.peek r ~cycle:8 9);
   (* switching invalidates *)
-  Raddr.bind r ~cycle:9 4;
-  check_bool "switch invalidates" false (Raddr.peek r ~cycle:9 4);
-  check_bool "old binding gone" false (Raddr.peek r ~cycle:10 9);
-  check_bool "new binding valid" true (Raddr.peek r ~cycle:10 4)
+  ignore (Bric.probe r ~cycle:9 4);
+  check_bool "switch invalidates" false (Bric.peek r ~cycle:9 4);
+  check_bool "old binding gone" false (Bric.peek r ~cycle:10 9);
+  check_bool "new binding valid" true (Bric.peek r ~cycle:10 4)
 
 (* --- BTB ---------------------------------------------------------------- *)
 

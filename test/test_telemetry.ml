@@ -6,7 +6,6 @@
 
 module Json = Elag_telemetry.Json
 module Histogram = Elag_telemetry.Histogram
-module Metrics = Elag_telemetry.Metrics
 module Stall = Elag_telemetry.Stall
 module Trace = Elag_telemetry.Trace
 module Pipeline = Elag_sim.Pipeline
@@ -118,29 +117,6 @@ let test_histogram_percentiles () =
   check "max seen" 20 (Option.get (Histogram.max_seen h));
   check_bool "empty has no percentile" true
     (Histogram.percentile (Histogram.create ~bounds:[| 1 |]) 50. = None)
-
-(* --- metric registry ------------------------------------------------------- *)
-
-let test_metrics_registry () =
-  let reg = Metrics.create () in
-  let c = Metrics.counter reg "cycles" in
-  Metrics.incr c;
-  Metrics.incr ~by:41 c;
-  check "counter value" 42 (Metrics.value c);
-  check_bool "same name, same counter" true (Metrics.counter reg "cycles" == c);
-  let h = Metrics.histogram reg ~bounds:[| 1; 2 |] "lat" in
-  Histogram.observe h 1;
-  Histogram.observe h 5;
-  let csv = Metrics.to_csv reg in
-  check_bool "csv has counter row" true
-    (List.mem "cycles,42" (String.split_on_char '\n' csv));
-  check_bool "csv has overflow bucket row" true
-    (List.mem "lat_bucket_le_inf,1" (String.split_on_char '\n' csv));
-  check_bool "name collision rejected" true
-    (try
-       ignore (Metrics.histogram reg ~bounds:[| 1 |] "cycles");
-       false
-     with Invalid_argument _ -> true)
 
 (* --- trace exporter -------------------------------------------------------- *)
 
@@ -311,6 +287,22 @@ let check_golden file render =
 
 let test_golden_report () = check_golden "golden_report.json" golden_report
 
+(* The CSV's metric,value section: a counter row, and the overflow
+   bucket of the load-latency histogram (a 100-cycle miss penalty puts
+   every missing load past the last bound). *)
+let test_report_csv () =
+  let cfg = Config.with_miss_penalty 100 Config.default in
+  let t, _ = Pipeline.run cfg (golden_program ()) in
+  let rows = String.split_on_char '\n' (Report.to_csv t) in
+  let cycles = (Pipeline.stats t).Pipeline.cycles in
+  check_bool "csv has counter row" true (List.mem (Printf.sprintf "cycles,%d" cycles) rows);
+  let overflow =
+    List.assoc None (Histogram.bucket_counts (Pipeline.load_latency_histogram t))
+  in
+  check_bool "some load overflows" true (overflow > 0);
+  check_bool "csv has overflow bucket row" true
+    (List.mem (Printf.sprintf "load_latency_bucket_le_inf,%d" overflow) rows)
+
 (* Every mechanism preset over two suite workloads, capped so the test
    stays fast: pins cycles, stall attribution, predictor counters and
    the whole load-site table for each preset, not just the one
@@ -345,7 +337,6 @@ let suite =
   ; Alcotest.test_case "json: parse roundtrip" `Quick test_json_parse_roundtrip
   ; Alcotest.test_case "histogram: bucketing" `Quick test_histogram_bucketing
   ; Alcotest.test_case "histogram: percentiles" `Quick test_histogram_percentiles
-  ; Alcotest.test_case "metrics: registry" `Quick test_metrics_registry
   ; Alcotest.test_case "trace: events" `Quick test_trace_events
   ; Alcotest.test_case "stall: names" `Quick test_stall_names_roundtrip
   ; Alcotest.test_case "pipeline: stall invariant" `Quick test_stall_invariant
@@ -353,4 +344,5 @@ let suite =
   ; Alcotest.test_case "bric: stats" `Quick test_bric_stats
   ; Alcotest.test_case "bric: surfaced" `Quick test_bric_stats_surfaced
   ; Alcotest.test_case "report: golden file" `Quick test_golden_report
+  ; Alcotest.test_case "report: csv" `Quick test_report_csv
   ; Alcotest.test_case "report: golden presets" `Quick test_golden_presets ]

@@ -251,6 +251,38 @@ let test_fault_plan_deterministic () =
     check "injections reproduce" o1.Fault.injections o2.Fault.injections;
     check "cycles reproduce" o1.Fault.faulted_cycles o2.Fault.faulted_cycles
 
+(* The pipeline keeps one register cache, the BRIC under calc-N and
+   R_addr (a one-entry BRIC) under dual-*; each target must act on its
+   own structure only.  Same plan as `elag fault "PGP Encode" P T
+   --seed 3`. *)
+let test_fault_register_cache_pairings () =
+  let e = Lazy.force engine in
+  let p = Engine.program e (Suite.find "PGP Encode") in
+  let injections preset =
+    let cfg =
+      { Config.default with Config.mechanism = Config.Mechanism.of_string_exn preset }
+    in
+    let base = Oracle.trace cfg p in
+    let retired = max 1 base.Oracle.retired in
+    fun target ->
+      let plan =
+        { Fault.name = "pairing"
+        ; seed = 3
+        ; first = 1 + (retired / 3)
+        ; period = Some (max 1 (retired / 5))
+        ; target }
+      in
+      let o = Fault.run_plan ~baseline:base cfg p plan in
+      check_bool (preset ^ " invariants hold") true (Fault.outcome_ok o);
+      o.Fault.injections
+  in
+  let calc8 = injections "calc-8" and dual_cc = injections "dual-cc" in
+  check "raddr-unbind under calc-8" 0 (calc8 Fault.Raddr_unbind);
+  check "bric-flush under dual-cc" 0 (dual_cc Fault.Bric_flush);
+  check "bric-delay under dual-cc" 0 (dual_cc (Fault.Bric_delay { cycles = 8 }));
+  check "raddr-unbind under dual-cc" 4 (dual_cc Fault.Raddr_unbind);
+  check "bric-flush under calc-8" 4 (calc8 Fault.Bric_flush)
+
 (* --- lint ----------------------------------------------------------------- *)
 
 let test_lint_accepts_compiled () =
@@ -398,6 +430,8 @@ let suite =
   ; Alcotest.test_case "oracle: skipped retire" `Quick test_oracle_skipped_retire
   ; Alcotest.test_case "oracle: workload green" `Quick test_oracle_on_workload
   ; Alcotest.test_case "fault: smoke matrix" `Quick test_fault_smoke_matrix
+  ; Alcotest.test_case "fault: register-cache pairings" `Quick
+      test_fault_register_cache_pairings
   ; Alcotest.test_case "fault: plans deterministic" `Quick
       test_fault_plan_deterministic
   ; Alcotest.test_case "lint: compiled workloads" `Quick

@@ -534,9 +534,6 @@ let verify_cmd =
 let fuzz_cmd =
   let seed = natural "seed" 0 ~docv:"S" "Master campaign seed." in
   let iters = natural "iters" 100 ~docv:"N" "Iteration count." in
-  let retries =
-    natural "retries" 0 ~docv:"N" "Crash retries per iteration (timeouts never retry)."
-  in
   let budget_ms =
     optional "budget-ms" (int_from 1) ~docv:"MS"
       "Stop scheduling new work after $(docv) ms of wall clock."
@@ -548,10 +545,10 @@ let fuzz_cmd =
     optional "mutation" mutation ~docv:"NAME"
       "Plant a reference mutation (a guarded test hook proving detection)."
   in
-  let go jobs seed iters budget_ms timeout_ms retries corpus_dir mutation =
+  let go jobs seed iters budget_ms timeout_ms corpus_dir mutation =
     let summary =
       Campaign.run ~jobs:(width jobs) ?budget_ms
-        { Campaign.default with seed; iters; mutation; timeout_ms; retries; corpus_dir }
+        { Campaign.default with seed; iters; mutation; timeout_ms; corpus_dir }
     in
     print_endline (Json.to_string ~pretty:true (Campaign.summary_json summary));
     status (Campaign.ok summary)
@@ -563,7 +560,7 @@ let fuzz_cmd =
     Term.(
       const go $ jobs $ seed $ iters $ budget_ms
       $ timeout_ms ~doc:"Per-iteration budget; a hung iteration reports a job timeout."
-      $ retries $ corpus_dir $ mutation)
+      $ corpus_dir $ mutation)
 
 let bench_cmd =
   let mode =

@@ -73,70 +73,44 @@ let map_list ~jobs f items = Array.to_list (run ~jobs f (Array.of_list items))
 (* --- supervised runs --------------------------------------------------- *)
 
 (* The graceful-degradation mode the fuzz campaigns (and any long
-   unattended run) need: a job that times out or keeps crashing
-   becomes a structured per-index result instead of an exception that
-   aborts the whole batch.
+   unattended run) need: a job that times out or crashes becomes a
+   structured per-index result instead of an exception that aborts the
+   whole batch.  Nothing is retried: every supervised job is
+   deterministic, so a second attempt would only repeat the failure.
 
    Cancellation is cooperative — a domain cannot be killed, so each
-   attempt gets a fresh {!Elag_verify.Deadline} and the job function
-   is expected to poll it from its hot path (simulator jobs poll once
-   per retired instruction through the observer hook).  A job that
-   never polls cannot be reclaimed; everything this repository runs on
-   the pool retires instructions, so every job polls. *)
+   job gets a fresh {!Elag_verify.Deadline} and is expected to poll it
+   from its hot path (simulator jobs poll once per retired instruction
+   through the observer hook).  A job that never polls cannot be
+   reclaimed; everything this repository runs on the pool retires
+   instructions, so every job polls. *)
 
 module Deadline = Elag_verify.Deadline
 
 type failure =
-  | Job_failed of { attempts : int; message : string }
-  | Job_timeout of { timeout_ms : int; attempts : int }
+  | Job_failed of { message : string }
+  | Job_timeout of { timeout_ms : int }
 
 type 'b outcome = ('b, failure) result
 
-let pp_failure ppf = function
-  | Job_failed { attempts; message } ->
-    Fmt.pf ppf "failed after %d attempt%s: %s" attempts
-      (if attempts = 1 then "" else "s")
-      message
-  | Job_timeout { timeout_ms; attempts } ->
-    Fmt.pf ppf "timed out (%d ms budget, attempt %d)" timeout_ms attempts
+let failure_to_string = function
+  | Job_failed { message } -> "failed: " ^ message
+  | Job_timeout { timeout_ms } -> Printf.sprintf "timed out (%d ms budget)" timeout_ms
 
-let failure_to_string f = Fmt.str "%a" pp_failure f
-
-let run_supervised ?timeout_ms ?(retries = 0) ?(backoff_ms = 5) ~jobs f
-    (items : 'a array) : 'b outcome array =
-  if retries < 0 then invalid_arg "Pool.run_supervised: negative retries";
+let run_supervised ?timeout_ms ~jobs f (items : 'a array) : 'b outcome array =
   (match timeout_ms with
   | Some t when t <= 0 -> invalid_arg "Pool.run_supervised: non-positive timeout"
   | _ -> ());
   let n = Array.length items in
   let results : 'b outcome option array = Array.make n None in
-  let attempt_one item =
-    let deadline = Deadline.opt timeout_ms in
-    match f deadline item with
-    | v -> Ok v
-    | exception Deadline.Job_timeout { timeout_ms } -> Error (`Timeout timeout_ms)
-    | exception e -> Error (`Crash (Printexc.to_string e))
-  in
   let exec i =
-    (* Bounded retry with exponential backoff covers transient crashes
-       (a flaky external resource, an allocation blip); a timeout is
-       never retried — a deterministic job that overran its wall-clock
-       budget once will overrun it again, and retrying would stall the
-       whole batch behind one pathological input. *)
-    let rec go attempt =
-      match attempt_one items.(i) with
-      | Ok v -> Ok v
-      | Error (`Timeout timeout_ms) ->
-        Error (Job_timeout { timeout_ms; attempts = attempt })
-      | Error (`Crash message) ->
-        if attempt <= retries then begin
-          Unix.sleepf
-            (float_of_int (backoff_ms * (1 lsl (attempt - 1))) /. 1000.);
-          go (attempt + 1)
-        end
-        else Error (Job_failed { attempts = attempt; message })
-    in
-    results.(i) <- Some (go 1)
+    results.(i) <-
+      Some
+        (match f (Deadline.opt timeout_ms) items.(i) with
+        | v -> Ok v
+        | exception Deadline.Job_timeout { timeout_ms } ->
+          Error (Job_timeout { timeout_ms })
+        | exception e -> Error (Job_failed { message = Printexc.to_string e }))
   in
   each ~jobs n exec;
   Array.map

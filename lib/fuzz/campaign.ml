@@ -1,14 +1,16 @@
 (* Differential fuzzing campaigns.
 
    One iteration = one seeded program (EPA-32 typed construction, or
-   MiniC through the front-end every [minic_every]-th iteration) run
-   through every mechanism preset — the first under the lockstep
-   oracle, the rest against its trace — with a seeded fault plan
-   layered on some iterations.  Iterations are
-   pure functions of the per-iteration seed, so they fan out on the
-   supervised pool and the merged summary is byte-identical at every
-   [-j] setting; per-iteration seeds are drawn serially from the
-   master stream before the fan-out.
+   MiniC through the front-end every [minic_every]-th iteration)
+   checked under every mechanism preset, with a seeded fault plan
+   layered on some iterations.  The emulator alone decides the retire
+   stream, so the reference runs once and the program once, observed
+   by every preset's pipeline; only a preset whose view disagrees runs
+   the lockstep oracle.  Iterations are pure functions of the
+   per-iteration seed, so they fan out on the supervised pool and the
+   merged summary is byte-identical at every [-j] setting;
+   per-iteration seeds are drawn serially from the master stream
+   before the fan-out.
 
    On a finding, the offending EPA program is shrunk against the
    oracle's failure signature and the minimal repro is persisted to
@@ -19,6 +21,7 @@
    repro workflow, not the campaign loop. *)
 
 module Config = Elag_sim.Config
+module Pipeline = Elag_sim.Pipeline
 module Oracle = Elag_verify.Oracle
 module Lint = Elag_verify.Lint
 module Fault = Elag_verify.Fault
@@ -36,7 +39,6 @@ type config =
   ; fault_every : int  (* every k-th iteration layers a fault plan; 0 = never *)
   ; mutation : string option
   ; timeout_ms : int option
-  ; retries : int
   ; corpus_dir : string option }
 
 let default =
@@ -48,7 +50,6 @@ let default =
   ; fault_every = 3
   ; mutation = None
   ; timeout_ms = None
-  ; retries = 0
   ; corpus_dir = None }
 
 type kind = Divergence | Fault_violation | Lint_reject | Crash
@@ -192,72 +193,90 @@ let run_iteration config deadline (iter, seed) =
            ~shrunk:false);
       finish ()
     | _ -> (
-      (* The stream is the emulator's whatever the preset, so only the
-         first preset runs the lockstep; a later preset whose trace
-         differs falls back to it, keeping the report exact. *)
       let reference =
         Option.map (fun m -> Gen.apply_mutation m program) config.mutation
       in
-      let lockstep cfg =
-        let report =
-          Oracle.run ~max_insns:budget ?reference ~deadline cfg program
+      (* [None] when the run raised, so that no preset agrees with it *)
+      let attempt ?observer cfg program =
+        match Oracle.trace ~max_insns:budget ~deadline ?observer cfg program with
+        | t -> Some t
+        | exception (Deadline.Job_timeout _ as e) -> raise e
+        | exception _ -> None
+      in
+      let expected = attempt Config.default (Option.value reference ~default:program) in
+      (* The subject run: the first preset's pipeline is the trace's own
+         and the others observe the same retires. *)
+      let cfgs = List.map (fun m -> Config.with_mechanism m Config.default) config.mechanisms in
+      let pipes = Array.of_list (List.map Pipeline.create (List.tl cfgs)) in
+      let observe _ pc insn eff taken next_pc =
+        for i = 0 to Array.length pipes - 1 do
+          Pipeline.process pipes.(i) pc insn eff taken next_pc
+        done
+      in
+      let subject = attempt ~observer:observe (List.hd cfgs) program in
+      (* A preset's view is the subject's trace with its own pipeline's
+         counts; one that disagrees with the reference is re-run under
+         the lockstep for the exact report and signature. *)
+      let check i cfg =
+        let view =
+          if i = 0 then subject
+          else
+            let s = Pipeline.stats pipes.(i - 1) in
+            Option.map
+              (fun t -> { t with Oracle.observed = s.instructions; cycles = s.cycles })
+              subject
         in
-        match Oracle.signature report with
-        | None -> Ok report.Oracle.subject
-        | Some signature -> Error (report, signature)
+        match (view, expected) with
+        | Some v, Some e
+          when String.equal v.Oracle.output e.Oracle.output && Oracle.same_stream v e ->
+          Ok v
+        | _ -> (
+          let report =
+            Oracle.run ~max_insns:budget ?reference ~deadline cfg program
+          in
+          match Oracle.signature report with
+          | None -> Ok report.Oracle.subject
+          | Some signature -> Error (report, signature))
       in
-      (* green presets' traces, in preset order *)
-      let traces = ref [] in
-      let check cfg =
-        match !traces with
-        | [] -> lockstep cfg
-        | (_, (first : Oracle.trace)) :: _ ->
-          let t = Oracle.trace ~max_insns:budget ~deadline cfg program in
-          if String.equal t.output first.output && Oracle.same_stream t first
-          then Ok t
-          else lockstep cfg
+      (* green presets' views, newest first, or [None] at a finding *)
+      let rec check_all i traces = function
+        | [] -> Some traces
+        | cfg :: rest -> (
+          let mechanism = cfg.Config.mechanism in
+          let mech_name = Config.Mechanism.to_string mechanism in
+          incr oracle_runs;
+          match check i cfg with
+          | exception (Deadline.Job_timeout _ as e) -> raise e
+          | exception e ->
+            crash mech_name (Printexc.to_string e);
+            None
+          | Ok t -> check_all (i + 1) ((mechanism, t) :: traces) rest
+          | Error (report, signature) ->
+            let unshrunk () = (listing (), insns, false) in
+            let listing, insns, shrunk =
+              match g with
+              | Some g -> (
+                match
+                  shrink_epa ~cfg ~deadline ~mutation:config.mutation
+                    ~signature g
+                with
+                | l, n -> (l, n, true)
+                | exception (Deadline.Job_timeout _ as e) -> raise e
+                | exception _ -> unshrunk ())
+              | None -> unshrunk ()
+            in
+            add
+              (mk ~mechanism:mech_name ~kind:Divergence ~detail:signature
+                 ~report:(Oracle.to_json report) ~listing ~insns ~shrunk);
+            None)
       in
-      let stop = ref false in
-      List.iter
-        (fun mechanism ->
-          if not !stop then begin
-            Deadline.check deadline;
-            let cfg = Config.with_mechanism mechanism Config.default in
-            let mech_name = Config.Mechanism.to_string mechanism in
-            incr oracle_runs;
-            match check cfg with
-            | exception (Deadline.Job_timeout _ as e) -> raise e
-            | exception e ->
-              stop := true;
-              crash mech_name (Printexc.to_string e)
-            | Ok t -> traces := !traces @ [ (mechanism, t) ]
-            | Error (report, signature) ->
-              stop := true;
-              let unshrunk () = (listing (), insns, false) in
-              let listing, insns, shrunk =
-                match g with
-                | Some g -> (
-                  match
-                    shrink_epa ~cfg ~deadline ~mutation:config.mutation
-                      ~signature g
-                  with
-                  | l, n -> (l, n, true)
-                  | exception (Deadline.Job_timeout _ as e) -> raise e
-                  | exception _ -> unshrunk ())
-                | None -> unshrunk ()
-              in
-              add
-                (mk ~mechanism:mech_name ~kind:Divergence ~detail:signature
-                   ~report:(Oracle.to_json report) ~listing ~insns ~shrunk)
-          end)
-        config.mechanisms;
-      (* fault layer: seeded plan on clean EPA programs, against the
-         trace its preset already produced *)
-      if
-        (not !stop) && config.fault_every > 0
-        && (iter + 1) mod config.fault_every = 0
-        && source = "epa"
-      then begin
+      (* fault layer: seeded plan on clean EPA programs, against its
+         preset's view of the subject run *)
+      (match check_all 0 [] cfgs with
+      | Some traces
+        when config.fault_every > 0
+             && (iter + 1) mod config.fault_every = 0
+             && source = "epa" -> (
         let frng = Xorshift.create (seed lxor 0xFA17) in
         let target =
           fault_targets.(Xorshift.int frng (Array.length fault_targets))
@@ -266,7 +285,7 @@ let run_iteration config deadline (iter, seed) =
         let mechanism = Config.Mechanism.of_string_exn mech_name in
         let cfg = Config.with_mechanism mechanism Config.default in
         match
-          match List.assoc_opt mechanism !traces with
+          match List.assoc_opt mechanism traces with
           | Some t -> t
           | None -> Oracle.trace ~max_insns:budget ~deadline cfg program
         with
@@ -299,8 +318,8 @@ let run_iteration config deadline (iter, seed) =
                         plan.Fault.name outcome.Fault.output_ok
                         outcome.Fault.stream_ok)
                    ~report:(Fault.outcome_to_json outcome)
-                   ~listing:(listing ()) ~insns ~shrunk:false)
-      end;
+                   ~listing:(listing ()) ~insns ~shrunk:false))
+      | _ -> ());
       finish ()))
 
 let run ?(jobs = 1) ?budget_ms config =
@@ -321,8 +340,7 @@ let run ?(jobs = 1) ?budget_ms config =
     let n = min batch_size remaining in
     let batch = Array.sub seeds !completed n in
     let outcomes =
-      Pool.run_supervised ?timeout_ms:config.timeout_ms ~retries:config.retries
-        ~jobs
+      Pool.run_supervised ?timeout_ms:config.timeout_ms ~jobs
         (fun deadline item -> run_iteration config deadline item)
         batch
     in
@@ -439,8 +457,7 @@ let summary_json summary =
           ; ( "timeout_ms"
             , match c.timeout_ms with
               | None -> Json.Null
-              | Some t -> Json.Int t )
-          ; ("retries", Json.Int c.retries) ] )
+              | Some t -> Json.Int t ) ] )
     ; ("metrics", metrics_json summary)
     ; ("findings", Json.List (List.map finding_to_json summary.findings))
     ; ( "failures"

@@ -1,12 +1,15 @@
 (** Differential fuzzing campaign driver.
 
     One iteration = one seeded program (EPA-32 typed construction, or
-    MiniC through the front-end every [minic_every]-th iteration)
-    linted and run through every configured mechanism preset — the
-    first under the lockstep {!Elag_verify.Oracle.run}, each later one
-    an {!Elag_verify.Oracle.trace} that must reproduce the first's
-    output and stream — with a seeded fault plan layered on every
-    [fault_every]-th iteration.  Iterations are pure functions of
+    MiniC through the front-end every [minic_every]-th iteration),
+    linted and checked under every configured mechanism preset, with a
+    seeded fault plan layered on every [fault_every]-th iteration.
+    The reference (the program, or its planted mutation) runs once
+    under {!Elag_verify.Oracle.trace}; the program then runs once with
+    every preset's pipeline observing it, and each preset's view must
+    match the reference's output and stream.  Only a preset that
+    disagrees, or whose run raised, is re-run under the lockstep
+    {!Elag_verify.Oracle.run} for its report.  Iterations are pure functions of
     their seed and fan out on the supervised pool
     ({!Elag_engine.Pool.run_supervised}), so the summary is
     byte-identical at every jobs setting; hung iterations surface as
@@ -30,7 +33,6 @@ type config =
     (** planted reference mutation ({!Gen.mutation_names}) — the
         guarded test hook proving the campaign catches real bugs *)
   ; timeout_ms : int option  (** per-iteration wall-clock budget *)
-  ; retries : int  (** crash retries per iteration (timeouts never retry) *)
   ; corpus_dir : string option  (** where minimal repros are persisted *) }
 
 val default : config

@@ -50,6 +50,17 @@ let simplifications = function
   | _ -> [ Insn.Nop ]
 
 let minimize ?(max_rounds = 8) ~check items =
+  (* Later sweeps revisit candidates an earlier one already tried, and
+     each [check] is an oracle run: answer a repeat from memory. *)
+  let seen = Hashtbl.create 64 in
+  let check candidate =
+    match Hashtbl.find_opt seen candidate with
+    | Some r -> r
+    | None ->
+      let r = check candidate in
+      Hashtbl.add seen candidate r;
+      r
+  in
   let current = ref items in
   let changed = ref true in
   let rounds = ref 0 in

@@ -17,4 +17,5 @@ val minimize :
 (** Chunked deletion (halving chunk sizes) then per-instruction
     simplification, iterated to fixpoint or [max_rounds] (default 8).
     [check] must return [true] iff the candidate still fails the same
-    way; it is responsible for catching its own exceptions. *)
+    way, and is called at most once per distinct candidate; it is
+    responsible for catching its own exceptions. *)

@@ -26,6 +26,6 @@ echo "== verify: lint + fault-injection smoke =="
 elag verify smoke
 
 echo "== fuzz: bounded differential campaign (-j 2) =="
-elag fuzz --seed 42 --iters 25 -j 2
+elag fuzz --seed 42 --iters 100 -j 2
 
 echo "smoke: OK"

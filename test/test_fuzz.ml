@@ -93,11 +93,12 @@ let test_gen_params_roundtrip () =
   | Error msg -> Alcotest.fail msg
 
 let test_fingerprint_sensitivity () =
-  (* Presets after the first and fault plans compare trace
-     fingerprints, not events: wherever the lockstep tells a mutated
-     program's stream apart from the original's, the traces must differ
-     too.  A mutated program may trap or overrun its budget; only seeds
-     where the lockstep diverges and both traces complete count. *)
+  (* Campaign presets are checked against the reference trace, and
+     fault plans against their baseline, by fingerprint, not event by
+     event: wherever the lockstep tells a mutated program's stream apart
+     from the original's, the traces must differ too.  A mutated program
+     may trap or overrun its budget; only seeds where the lockstep
+     diverges and both traces complete count. *)
   List.iter
     (fun mutation ->
       let compared = ref 0 in

@@ -449,6 +449,46 @@ let test_allocation_gate () =
         (per_insn <= alloc_gate_words_per_insn))
     Config.Mechanism.all
 
+(* --- pipelines sharing one emulator -------------------------------------- *)
+
+(* A fuzz iteration runs each program once with every preset's pipeline
+   observing the same retires, so a pipeline must report exactly what
+   it reports on its own emulator: no state (the module-level [no_site]
+   sentinel, say) may pass between pipelines. *)
+let test_pipelines_share_emulator () =
+  let cfgs =
+    List.map (fun m -> Config.with_mechanism m Config.default) Config.Mechanism.all
+  in
+  let run ~max_insns observer program =
+    try Emulator.run ~observer ~max_insns (Emulator.create program)
+    with Emulator.Runaway _ -> ()
+  in
+  let report t = Elag_telemetry.Json.to_string (Elag_sim.Report.to_json t) in
+  let check_program name ~max_insns program =
+    let shared = Array.of_list (List.map Pipeline.create cfgs) in
+    run ~max_insns
+      (fun pc insn eff taken next_pc ->
+        Array.iter (fun p -> Pipeline.process p pc insn eff taken next_pc) shared)
+      program;
+    List.iteri
+      (fun i cfg ->
+        let alone = Pipeline.create cfg in
+        run ~max_insns (Pipeline.observer alone) program;
+        Alcotest.(check string)
+          (Printf.sprintf "%s under %s" name (Config.mechanism_name cfg.Config.mechanism))
+          (report alone) (report shared.(i)))
+      cfgs
+  in
+  let w = Elag_workloads.Suite.find "008.espresso" in
+  check_program "008.espresso" ~max_insns:200_000
+    (Elag_harness.Compile.compile w.Elag_workloads.Workload.source);
+  List.iter
+    (fun seed ->
+      let g = Elag_fuzz.Gen.program seed in
+      check_program (Printf.sprintf "gen seed %d" seed) ~max_insns:g.Elag_fuzz.Gen.budget
+        g.Elag_fuzz.Gen.program)
+    [ 0; 1; 2; 3 ]
+
 (* --- mechanism naming round-trip ----------------------------------------- *)
 
 let test_mechanism_roundtrip () =
@@ -504,6 +544,8 @@ let suite_head =
   ; Alcotest.test_case "pipeline: miss penalty" `Quick test_dcache_miss_penalty
   ; Alcotest.test_case "pipeline: ld_e trace latencies" `Quick test_ld_e_trace_latencies
   ; Alcotest.test_case "pipeline: config ordering" `Quick test_speedup_ordering_on_workload
-  ; Alcotest.test_case "pipeline: allocation gate" `Quick test_allocation_gate ]
+  ; Alcotest.test_case "pipeline: allocation gate" `Quick test_allocation_gate
+  ; Alcotest.test_case "pipeline: presets share one emulator" `Quick
+      test_pipelines_share_emulator ]
 
 let suite = suite_head

@@ -28,4 +28,16 @@ elag verify smoke
 echo "== fuzz: bounded differential campaign (-j 2) =="
 elag fuzz --seed 42 --iters 100 -j 2
 
+# A planted reference mutation must be caught: exit 1 (a failed check),
+# never 0 (missed) or 2 (the campaign could not run).
+for m in alu-flip load-size-flip branch-cond-flip; do
+  echo "== fuzz: planted mutation $m must be caught =="
+  status=0
+  elag fuzz --seed 7 --iters 12 -j 2 --mutation "$m" > /dev/null || status=$?
+  if [ "$status" -ne 1 ]; then
+    echo "smoke: mutation $m exited $status, expected 1" >&2
+    exit 1
+  fi
+done
+
 echo "smoke: OK"

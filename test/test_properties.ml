@@ -88,9 +88,9 @@ let cache_invariants =
 
 let memory_roundtrip =
   QCheck.Test.make ~name:"memory: word roundtrip through bytes" ~count:500
-    QCheck.(make Gen.(pair (int_bound 4000) int))
+    QCheck.(make Gen.(pair (int_bound (Memory.default_size - 4)) int))
     (fun (addr, v) ->
-      let m = Memory.create ~size:8192 () in
+      let m = Memory.create () in
       Memory.write_word m addr v;
       let w = Memory.read_word m addr in
       let b0 = Memory.read_byte_u m addr
@@ -99,6 +99,93 @@ let memory_roundtrip =
       and b3 = Memory.read_byte_u m (addr + 3) in
       w = Alu.norm v
       && Alu.norm (b0 lor (b1 lsl 8) lor (b2 lsl 16) lor (b3 lsl 24)) = w)
+
+(* Paged memory against a flat [Bytes] model of [default_size] bytes:
+   random sequences of byte, half and word reads (signed and unsigned)
+   and writes must read the same values and fault at the same
+   addresses.  Most addresses sit within 8 bytes of a 4 KiB page
+   boundary or of the top of memory, so accesses straddle pages and
+   the bounds; page 0's neighbourhood supplies negative addresses.
+   The boundaries come mostly from a short list, so reads land on
+   bytes that earlier writes in the sequence stored. *)
+type mem_op =
+  | Read of { width : int; signed : bool; addr : int }
+  | Write of { width : int; addr : int; value : int }
+
+let print_mem_op = function
+  | Read { width; signed; addr } ->
+    Printf.sprintf "read%d%s %d" width (if signed then "s" else "u") addr
+  | Write { width; addr; value } -> Printf.sprintf "write%d %d %d" width addr value
+
+let mem_addr_gen =
+  let size = Memory.default_size in
+  QCheck.Gen.(
+    let near base = map (fun d -> base + d) (int_range (-8) 8) in
+    frequency
+      [ (6, oneofl [ 0; 4096; 8192; size - 4096 ] >>= near)
+      ; (2, near size)
+      ; (1, int_bound (size / 4096) >>= fun page -> near (page * 4096))
+      ; (1, int_range (-size) (2 * size)) ])
+
+let mem_op_gen =
+  QCheck.Gen.(
+    let width = oneofl [ 1; 2; 4 ] in
+    frequency
+      [ (1, map3 (fun width signed addr -> Read { width; signed; addr }) width bool mem_addr_gen)
+      ; (1, map3 (fun width addr value -> Write { width; addr; value }) width mem_addr_gen int) ])
+
+(* One flat image shared by every case, zeroed again after each. *)
+let flat_model = Bytes.make Memory.default_size '\000'
+
+let in_model width addr = addr >= 0 && addr + width <= Memory.default_size
+
+let model_op = function
+  | Read { width; signed; addr } ->
+    if not (in_model width addr) then Error addr
+    else
+      let v = ref 0 in
+      for i = width - 1 downto 0 do
+        v := (!v lsl 8) lor Char.code (Bytes.get flat_model (addr + i))
+      done;
+      let top = 1 lsl ((8 * width) - 1) in
+      Ok (if (signed || width = 4) && !v land top <> 0 then !v - (2 * top) else !v)
+  | Write { width; addr; value } ->
+    if not (in_model width addr) then Error addr
+    else begin
+      for i = 0 to width - 1 do
+        Bytes.set flat_model (addr + i) (Char.unsafe_chr ((value lsr (8 * i)) land 0xff))
+      done;
+      Ok 0
+    end
+
+let memory_op m op =
+  try
+    Ok
+      (match op with
+      | Read { width = 1; signed = false; addr } -> Memory.read_byte_u m addr
+      | Read { width = 1; signed = true; addr } -> Memory.read_byte_s m addr
+      | Read { width = 2; signed = false; addr } -> Memory.read_half_u m addr
+      | Read { width = 2; signed = true; addr } -> Memory.read_half_s m addr
+      | Read { addr; _ } -> Memory.read_word m addr
+      | Write { width = 1; addr; value } -> Memory.write_byte m addr value; 0
+      | Write { width = 2; addr; value } -> Memory.write_half m addr value; 0
+      | Write { addr; value; _ } -> Memory.write_word m addr value; 0)
+  with Memory.Fault addr -> Error addr
+
+let memory_matches_flat_model =
+  QCheck.Test.make ~name:"memory: paged agrees with a flat model" ~count:300
+    QCheck.(make ~print:Print.(list print_mem_op) Gen.(list_size (int_range 1 100) mem_op_gen))
+    (fun ops ->
+      let m = Memory.create () in
+      Fun.protect
+        ~finally:(fun () ->
+          List.iter
+            (function
+              | Write { width; addr; _ } when in_model width addr ->
+                Bytes.fill flat_model addr width '\000'
+              | _ -> ())
+            ops)
+        (fun () -> List.for_all (fun op -> memory_op m op = model_op op) ops))
 
 let alu_compare_consistency =
   QCheck.Test.make ~name:"alu: set-compare ops agree with eval_cond" ~count:500
@@ -167,4 +254,5 @@ let suite =
       ; sema_never_crashes
       ; cache_invariants
       ; memory_roundtrip
+      ; memory_matches_flat_model
       ; alu_compare_consistency ]

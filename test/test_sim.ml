@@ -19,7 +19,7 @@ let check_bool = Alcotest.(check bool)
 (* --- memory -------------------------------------------------------------- *)
 
 let test_memory_rw () =
-  let m = Memory.create ~size:4096 () in
+  let m = Memory.create () in
   Memory.write_word m 100 0x12345678;
   check "word" 0x12345678 (Memory.read_word m 100);
   check "byte 0 (little endian)" 0x78 (Memory.read_byte_u m 100);
@@ -33,11 +33,44 @@ let test_memory_rw () =
   check "unsigned half" 0xFFFF (Memory.read_half_u m 300)
 
 let test_memory_fault () =
-  let m = Memory.create ~size:4096 () in
-  Alcotest.check_raises "oob" (Memory.Fault 4093) (fun () ->
-      ignore (Memory.read_word m 4093));
+  let m = Memory.create () in
+  let top = Memory.default_size in
+  Alcotest.check_raises "oob" (Memory.Fault (top - 3)) (fun () ->
+      ignore (Memory.read_word m (top - 3)));
   Alcotest.check_raises "negative" (Memory.Fault (-4)) (fun () ->
       ignore (Memory.read_word m (-4)))
+
+(* Untouched pages of every memory share one zero page: a write must
+   give its page to the written memory alone, so the same address in a
+   memory made before the write and in a fresh one still reads 0. *)
+let test_memory_zero_page_unshared () =
+  let a = Memory.create () in
+  let b = Memory.create () in
+  List.iter
+    (fun addr ->
+      Memory.write_byte a addr 0x5A;
+      check "written" 0x5A (Memory.read_byte_u a addr);
+      check "older memory" 0 (Memory.read_byte_u b addr);
+      check "fresh memory" 0 (Memory.read_byte_u (Memory.create ()) addr))
+    [ 0; 4095; 4096; Memory.default_size - 1 ]
+
+(* [load_image] copies page by page: chunks that start mid-page and span
+   several pages land byte for byte, with their neighbours left 0. *)
+let test_memory_load_image () =
+  let chunk n seed = String.init n (fun i -> Char.chr (((i * 7) + seed) land 0xff lor 1)) in
+  let image = [ (4000, chunk 10_000 3); (Memory.default_size - 5, chunk 5 9); (8190, "") ] in
+  let m = Memory.create () in
+  Memory.load_image m image;
+  List.iter
+    (fun (addr, s) ->
+      String.iteri
+        (fun i c -> check (Printf.sprintf "byte %d" (addr + i)) (Char.code c) (Memory.read_byte_u m (addr + i)))
+        s)
+    image;
+  check "before the chunk" 0 (Memory.read_byte_u m 3999);
+  check "after the chunk" 0 (Memory.read_byte_u m 14_000);
+  Alcotest.check_raises "chunk past the top" (Memory.Fault (Memory.default_size - 4))
+    (fun () -> Memory.load_image m [ (Memory.default_size - 4, chunk 5 0) ])
 
 (* --- cache ---------------------------------------------------------------- *)
 
@@ -156,8 +189,8 @@ let test_emulator_runaway_guard () =
    each width succeeds, one byte past the end faults, and negative
    addresses fault rather than wrap. *)
 let test_memory_check_boundaries () =
-  let size = 4096 in
-  let m = Memory.create ~size () in
+  let size = Memory.default_size in
+  let m = Memory.create () in
   Memory.write_word m (size - 4) 0x0BADCAFE;
   check "word at size-4" 0x0BADCAFE (Memory.read_word m (size - 4));
   Memory.write_half m (size - 2) 0x1234;
@@ -449,6 +482,41 @@ let test_allocation_gate () =
         (per_insn <= alloc_gate_words_per_insn))
     Config.Mechanism.all
 
+(* --- emulator footprint ---------------------------------------------------- *)
+
+(* Fuzz programs touch one or two 4 KiB pages, so a whole emulation of
+   one (memory, registers, output) allocates a few tens of KiB, not a
+   16 MiB image. *)
+let footprint_bytes = 64 * 1024
+
+(* [Gc.allocated_bytes], except that the minor count comes from the
+   exact [Gc.minor_words]: on OCaml 5.1 the one in [Gc.counters] is
+   only brought up to date now and then, so a short window can be
+   charged hundreds of KiB it did not allocate. *)
+let allocated_bytes () =
+  let _, promoted, major = Gc.counters () in
+  (Gc.minor_words () +. major -. promoted) *. float_of_int (Sys.word_size / 8)
+
+let test_emulator_footprint () =
+  let measure name ~max_insns program =
+    let before = allocated_bytes () in
+    ignore (Emulator.run_program ~max_insns program);
+    let bytes = allocated_bytes () -. before in
+    check_bool
+      (Printf.sprintf "%s: %.0f bytes <= %d" name bytes footprint_bytes)
+      true
+      (bytes <= float_of_int footprint_bytes)
+  in
+  for seed = 0 to 199 do
+    let g = Elag_fuzz.Gen.program seed in
+    measure (Printf.sprintf "gen program %d" seed) ~max_insns:g.Elag_fuzz.Gen.budget
+      g.Elag_fuzz.Gen.program
+  done;
+  for seed = 0 to 49 do
+    let program = Elag_harness.Compile.compile (Elag_fuzz.Gen.minic seed) in
+    measure (Printf.sprintf "gen minic %d" seed) ~max_insns:Elag_fuzz.Gen.minic_budget program
+  done
+
 (* --- pipelines sharing one emulator -------------------------------------- *)
 
 (* A fuzz iteration runs each program once with every preset's pipeline
@@ -521,6 +589,9 @@ let suite_head =
   ; Alcotest.test_case "memory: faults" `Quick test_memory_fault
   ; Alcotest.test_case "memory: check boundaries" `Quick
       test_memory_check_boundaries
+  ; Alcotest.test_case "memory: zero page unshared" `Quick
+      test_memory_zero_page_unshared
+  ; Alcotest.test_case "memory: load image across pages" `Quick test_memory_load_image
   ; Alcotest.test_case "cache: direct mapped" `Quick test_cache_direct_mapped
   ; Alcotest.test_case "cache: probe pure" `Quick test_cache_probe_pure
   ; Alcotest.test_case "cache: associativity" `Quick test_cache_associativity
@@ -545,6 +616,7 @@ let suite_head =
   ; Alcotest.test_case "pipeline: ld_e trace latencies" `Quick test_ld_e_trace_latencies
   ; Alcotest.test_case "pipeline: config ordering" `Quick test_speedup_ordering_on_workload
   ; Alcotest.test_case "pipeline: allocation gate" `Quick test_allocation_gate
+  ; Alcotest.test_case "emulator: footprint" `Quick test_emulator_footprint
   ; Alcotest.test_case "pipeline: presets share one emulator" `Quick
       test_pipelines_share_emulator ]
 
